@@ -299,19 +299,22 @@ def cmd_corpus_stat(args: argparse.Namespace) -> int:
     """Validate a corpus store and print its shape."""
     from .serving.corpus import corpus_stat
 
-    for key, value in corpus_stat(args.store).items():
+    stat = corpus_stat(args.store)
+    for key, value in stat.items():
         print(f"{key}: {value}")
+    if not stat["indexed"]:
+        print("index: no index; run `repro corpus index`")
     return 0
 
 
 def cmd_corpus_index(args: argparse.Namespace) -> int:
-    """Build (or rebuild) the inverted routing index for a store.
+    """Rebuild a store with its inverted routing index.
 
     One pass over the store's prebuilt text planes — no HTML parsing —
-    fitting the IDF model and packing token/entity postings into the
-    memmap ``<store>.idx`` sibling.  Re-running after live updates
-    rebuilds from scratch, which is also the repair path when routing
-    fails closed on a store/index generation mismatch.
+    fitting the IDF model over the live pages and publishing a compacted
+    base that carries every page's token/entity postings, as the next
+    store generation.  Live updates keep the postings current on their
+    own; re-running refits the IDF.
     """
     from .retrieval.index import build_corpus_index
 
@@ -392,12 +395,8 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
         f"hot swaps: {stats['hot_swaps']}  rollbacks: {stats['rollbacks']}  "
         f"queue depth bound: {health['queue_depth_bound']}"
     )
-    store_gen = health["store_generation"]
-    index_gen = health["index_generation"]
-    print(
-        f"store generation: {'-' if store_gen is None else store_gen}  "
-        f"index generation: {'-' if index_gen is None else index_gen}"
-    )
+    generation = health["generation"]
+    print(f"generation: {'-' if generation is None else generation}")
     print(
         f"{'shard':>5} {'queue':>5} {'inflight':>8} {'inval':>5} "
         f"{'pool':>6} {'dispatcher':>10}"
@@ -680,11 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_stat_parser.set_defaults(func=cmd_corpus_stat)
     corpus_index_parser = corpus_sub.add_parser(
         "index",
-        help="build the inverted keyword/entity routing index for a store",
+        help="rebuild a store with its inverted keyword/entity routing "
+        "index (compacts and refits the IDF)",
     )
-    corpus_index_parser.add_argument(
-        "store", help="store file to index (writes <store>.idx beside it)"
-    )
+    corpus_index_parser.add_argument("store", help="store file to index")
     corpus_index_parser.set_defaults(func=cmd_corpus_index)
 
     from pathlib import Path

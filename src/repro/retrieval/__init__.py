@@ -1,9 +1,9 @@
 """Corpus-scale question routing: inverted index + consensus answering.
 
 Turns the serving stack from "answer on this page" into "answer over
-this corpus": :mod:`.index` persists a memmap-backed inverted
-keyword/entity index alongside the corpus store (same crash-safety and
-generation discipline), and :mod:`.router` scores questions against it
+this corpus": :mod:`.index` keeps a memmap-backed inverted
+keyword/entity index inside the corpus store's own files (one generation
+and one commit for pages and postings), and :mod:`.router` scores questions against it
 — or against an exhaustive reference scan that is bit-identical by
 construction — then selects among cross-page answers with the
 transductive consensus rule.
@@ -11,9 +11,7 @@ transductive consensus rule.
 
 from .index import (
     CorpusIndexReader,
-    CorpusIndexUpdater,
     build_corpus_index,
-    index_path,
     open_corpus_index,
     page_postings,
     update_corpus_index,
@@ -31,12 +29,10 @@ from .router import (
 __all__ = [
     "CorpusAnswer",
     "CorpusIndexReader",
-    "CorpusIndexUpdater",
     "DEFAULT_TOP_K",
     "build_answer",
     "build_corpus_index",
     "cut_top_k",
-    "index_path",
     "open_corpus_index",
     "page_postings",
     "query_terms",

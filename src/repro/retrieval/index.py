@@ -1,40 +1,34 @@
-"""Memmap-backed inverted keyword/entity index over a corpus store.
+"""Inverted keyword/entity index, stored inside the corpus store.
 
 The corpus store (:mod:`repro.webtree.store`) answers "give me page X";
-this sidecar answers "which pages could answer this question?".  It maps
-**terms** — lower-cased word tokens and typed entity keys — to postings
-lists of ``(page, weight)`` pairs over the store's ``page_fingerprint``
-space, with weights from the corpus-fit :class:`~repro.nlp.vocab.IdfModel`
-(tf-scaled IDF for tokens, a flat boost for entity keys).  Routing a
-question then costs one vectorized sparse dot-product over the question's
-terms — work proportional to the match set, not the corpus.
+its postings sections answer "which pages could answer this question?".
+They map **terms** — lower-cased word tokens and typed entity keys — to
+postings lists of ``(page, weight)`` pairs over the store's
+``page_fingerprint`` space, with weights from the corpus-fit
+:class:`~repro.nlp.vocab.IdfModel` (tf-scaled IDF for tokens, a flat
+boost for entity keys).  Routing a question then costs one vectorized
+sparse dot-product over the question's terms — work proportional to the
+match set, not the corpus.
 
-**File format** (``<store>.idx``), mirroring the store's layout byte
-discipline::
+**One generation for pages and postings.**  The base file and every
+update segment carry the postings of exactly the pages whose planes they
+hold (the layout is in the store module docstring), so the store's one
+``.gen`` manifest swap publishes planes and postings together: the index
+cannot lag the store, and a torn byte anywhere in a publish leaves both
+at the previous generation.  :func:`update_corpus_index` stages a
+feed's postings into the open :class:`~repro.webtree.store.CorpusStoreUpdater`;
+:class:`CorpusIndexReader` is a postings view over a
+:class:`~repro.webtree.store.CorpusStoreReader`.
 
-    header   <8sII        magic=b"RPWIDX01", version, reserved
-    body     page_ids     <u4   one entry per posting, grouped by term
-             weights      <f4   aligned with page_ids
-             offsets      <u8   n_terms+1 prefix offsets into the arrays
-    manifest JSON         pages (fingerprints, posting order), terms
-                          (sorted), idf (IdfModel state), store_generation,
-                          section table
-    footer   <QQ8s        manifest offset/length, magic=b"RPWIDXE1"
-
-**Generational updates** replicate the store's two-step publish exactly
-(the primitives are imported from :mod:`repro.webtree.store`): a segment
-``<path>.seg-<G>`` is a complete index file over just the changed pages,
-published atomically *before* the ``<path>.gen`` manifest swap makes it
-visible.  A crash (or torn byte) at any point leaves the previous
-generation fully openable; later segments shadow earlier files per
-fingerprint; ``removed`` masks deletions.  Segments reuse the **base
-generation's IdfModel** so weights stay comparable across files — a full
-rebuild (:func:`build_corpus_index`, also the compaction path) refits it.
-
-Every index manifest records the **store generation** it was built
-against; readers refuse to route against a store the index has not
-caught up with (:meth:`CorpusIndexReader.ensure_fresh`), which is what
-makes routed answers exact rather than best-effort.
+**The IDF rule.**  Only the base manifest holds the IDF table.  Between
+compactions, segments are weighted with the base IDF and score with it,
+and the exhaustive scan borrows that same IDF — so routed ≡ exhaustive
+bit for bit after any sequence of feeds.  Compaction and
+:func:`build_corpus_index` (``repro corpus index``; the same operation)
+refit the IDF over the live pages, so right after a compaction the
+routed answer equals that of a store built from scratch over the same
+pages.  In between, routed weights drift from a fresh fit by design:
+refitting on every feed would rewrite every posting.
 
 Scoring is deliberately order-pinned: both the vectorized reader path
 and the on-the-fly exhaustive scan (:mod:`repro.retrieval.router`)
@@ -46,13 +40,8 @@ equality, not tolerance bands.
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import struct
-import threading
 from collections import Counter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -61,23 +50,11 @@ from ..nlp.ner import extract_entities
 from ..nlp.tokenize import words
 from ..nlp.vocab import IdfModel
 from ..webtree.store import (
-    GEN_FORMAT,
-    generation_path,
-    publish_bytes,
-    read_generation_manifest,
-    segment_path,
+    CorpusStoreReader,
+    CorpusStoreUpdater,
+    StoreSnapshot,
+    compact_store,
 )
-
-MAGIC = b"RPWIDX01"
-FOOTER_MAGIC = b"RPWIDXE1"
-VERSION = 1
-
-_HEADER = struct.Struct("<8sII")
-_FOOTER = struct.Struct("<QQ8s")
-
-PAGE_ID_DTYPE = np.dtype("<u4")
-WEIGHT_DTYPE = np.dtype("<f4")
-OFFSET_DTYPE = np.dtype("<u8")
 
 #: Separator inside entity keys.  Word tokens are lower-cased
 #: alphanumeric runs, so a term containing this byte is unambiguously an
@@ -89,15 +66,6 @@ ENTITY_SEP = "\x1f"
 #: upper reach of the IDF scale makes entity-anchored questions route
 #: entity-first without drowning topical token evidence.
 ENTITY_WEIGHT = 2.5
-
-
-def index_path(store_path: str) -> str:
-    """Canonical index location for a corpus store: ``<store>.idx``."""
-    return os.fspath(store_path) + ".idx"
-
-
-def _corrupt(path: str, reason: str) -> IngestError:
-    return IngestError(f"corpus index {path!r} is unreadable: {reason}")
 
 
 def entity_key(label: str, text: str) -> str:
@@ -112,10 +80,9 @@ def page_postings(text: str, idf: IdfModel) -> dict[str, np.float32]:
     """Term → float32 weight for one page's text.
 
     The single weighting function of the whole retrieval layer: the
-    index build pass, the incremental segment updater and the
-    no-index exhaustive scan all call it, so every path scores a page
-    identically by construction.  Token weights are
-    ``idf(t) * (1 + ln tf)`` (batched through
+    index build pass, the feed path and the exhaustive scan all call
+    it, so every path scores a page identically by construction.  Token
+    weights are ``idf(t) * (1 + ln tf)`` (batched through
     :meth:`IdfModel.idf_array`); entity keys get the flat
     :data:`ENTITY_WEIGHT`.  Weights are quantized to float32 — the
     on-disk precision — *here*, so in-memory and memmapped postings are
@@ -147,307 +114,121 @@ def page_text(page: "object") -> str:
     return page.index().subtree_text(0)  # type: ignore[attr-defined]
 
 
-def _pack_index(
-    postings_by_page: Mapping[str, Mapping[str, float]],
-    idf: IdfModel,
-    store_generation: int,
-) -> bytes:
-    """Serialize one complete index file (header/body/manifest/footer)."""
-    pages = sorted(postings_by_page)
-    page_of = {fingerprint: i for i, fingerprint in enumerate(pages)}
-    by_term: dict[str, list[tuple[int, float]]] = {}
-    for fingerprint in pages:
-        page_id = page_of[fingerprint]
-        for term, weight in postings_by_page[fingerprint].items():
-            by_term.setdefault(term, []).append((page_id, float(weight)))
-    terms = sorted(by_term)
-    offsets = np.zeros(len(terms) + 1, dtype=OFFSET_DTYPE)
-    page_ids: list[int] = []
-    weights: list[float] = []
-    for i, term in enumerate(terms):
-        entries = sorted(by_term[term])
-        page_ids.extend(entry[0] for entry in entries)
-        weights.extend(entry[1] for entry in entries)
-        offsets[i + 1] = len(page_ids)
-    page_id_bytes = np.array(page_ids, dtype=PAGE_ID_DTYPE).tobytes()
-    weight_bytes = np.array(weights, dtype=WEIGHT_DTYPE).tobytes()
-    offset_bytes = offsets.tobytes()
-    body_offset = _HEADER.size
-    sections = {
-        "page_ids": [body_offset, len(page_ids)],
-        "weights": [body_offset + len(page_id_bytes), len(weights)],
-        "offsets": [
-            body_offset + len(page_id_bytes) + len(weight_bytes),
-            len(terms) + 1,
-        ],
-    }
-    manifest = json.dumps(
-        {
-            "pages": pages,
-            "terms": terms,
-            "sections": sections,
-            "idf": idf.to_dict(),
-            "store_generation": int(store_generation),
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    ).encode("utf-8")
-    manifest_offset = sections["offsets"][0] + len(offset_bytes)
-    return b"".join(
-        (
-            _HEADER.pack(MAGIC, VERSION, 0),
-            page_id_bytes,
-            weight_bytes,
-            offset_bytes,
-            manifest,
-            _FOOTER.pack(manifest_offset, len(manifest), FOOTER_MAGIC),
-        )
+def _no_index(path: str) -> IngestError:
+    return IngestError(
+        f"no index in corpus store {path!r}; run `repro corpus index`"
     )
 
 
-class _IndexFile:
-    """One validated memmap view of a single index file (base or segment)."""
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        try:
-            self.raw = np.memmap(self.path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError) as exc:
-            raise _corrupt(self.path, str(exc)) from exc
-        size = int(self.raw.size)
-        if size < _HEADER.size + _FOOTER.size:
-            raise _corrupt(self.path, f"file too small ({size} bytes)")
-        magic, version, _ = _HEADER.unpack(bytes(self.raw[: _HEADER.size]))
-        if magic != MAGIC:
-            raise _corrupt(self.path, f"bad magic {magic!r}")
-        if version != VERSION:
-            raise _corrupt(self.path, f"unsupported version {version}")
-        manifest_offset, manifest_len, footer_magic = _FOOTER.unpack(
-            bytes(self.raw[size - _FOOTER.size :])
+def _live_masks(snapshot: StoreSnapshot) -> "list[np.ndarray]":
+    """Per file: which posting page ids still own their fingerprint
+    under shadowing and removal — the mask the scorer applies so a
+    superseded segment row can never produce a candidate."""
+    routing = snapshot.routing
+    return [
+        np.fromiter(
+            (routing.get(fp) is store_file for fp in store_file.postings.pages),
+            dtype=bool,
+            count=len(store_file.postings.pages),
         )
-        if footer_magic != FOOTER_MAGIC:
-            raise _corrupt(self.path, f"bad footer magic {footer_magic!r}")
-        if manifest_offset + manifest_len + _FOOTER.size > size:
-            raise _corrupt(self.path, "manifest bounds exceed file size")
-        try:
-            manifest = json.loads(
-                bytes(
-                    self.raw[manifest_offset : manifest_offset + manifest_len]
-                ).decode("utf-8")
-            )
-            self.pages: list[str] = list(manifest["pages"])
-            self.terms: list[str] = list(manifest["terms"])
-            self.idf_state: dict = manifest["idf"]
-            self.store_generation = int(manifest["store_generation"])
-            sections = manifest["sections"]
-            self.page_ids = self._section(
-                sections, "page_ids", PAGE_ID_DTYPE, manifest_offset
-            )
-            self.weights = self._section(
-                sections, "weights", WEIGHT_DTYPE, manifest_offset
-            )
-            self.offsets = self._section(
-                sections, "offsets", OFFSET_DTYPE, manifest_offset
-            )
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
-            raise _corrupt(self.path, f"manifest unreadable: {exc}") from exc
-        if len(self.offsets) != len(self.terms) + 1:
-            raise _corrupt(self.path, "offset table does not match term count")
-        if len(self.page_ids) != len(self.weights):
-            raise _corrupt(self.path, "postings arrays disagree in length")
-        if len(self.offsets) and (
-            int(self.offsets[-1]) != len(self.page_ids)
-            or np.any(np.diff(self.offsets.astype(np.int64)) < 0)
-        ):
-            raise _corrupt(self.path, "offset table is not a valid prefix sum")
-        if len(self.page_ids) and int(self.page_ids.max()) >= len(self.pages):
-            raise _corrupt(self.path, "posting page id out of range")
-        self._term_index = {term: i for i, term in enumerate(self.terms)}
-
-    def _section(
-        self, sections: dict, name: str, dtype: np.dtype, manifest_offset: int
-    ) -> np.ndarray:
-        offset, count = (int(value) for value in sections[name])
-        end = offset + count * dtype.itemsize
-        if offset < _HEADER.size or end > manifest_offset:
-            raise ValueError(f"section {name!r} out of bounds")
-        return np.frombuffer(self.raw[offset:end], dtype=dtype)
-
-    def postings(self, term: str) -> "tuple[np.ndarray, np.ndarray]":
-        """(page_ids, weights) slices for ``term`` (empty when absent)."""
-        index = self._term_index.get(term)
-        if index is None:
-            empty = np.empty(0, dtype=PAGE_ID_DTYPE)
-            return empty, np.empty(0, dtype=WEIGHT_DTYPE)
-        start, end = int(self.offsets[index]), int(self.offsets[index + 1])
-        return self.page_ids[start:end], self.weights[start:end]
-
-
-def _open_generation(
-    path: str,
-) -> "tuple[dict, list[_IndexFile], dict[str, tuple[_IndexFile, int]], set[str]]":
-    """Open the current index generation: base + segments, composed."""
-    manifest = read_generation_manifest(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    files = [_IndexFile(path)]
-    for name in manifest["segments"]:
-        files.append(_IndexFile(os.path.join(directory, name)))
-    removed = set(manifest["removed"])
-    routing: dict[str, tuple[_IndexFile, int]] = {}
-    for index_file in files:  # later segments shadow earlier files
-        for page_id, fingerprint in enumerate(index_file.pages):
-            routing[fingerprint] = (index_file, page_id)
-    for fingerprint in removed:
-        routing.pop(fingerprint, None)
-    return manifest, files, routing, removed
+        for store_file in snapshot.files
+    ]
 
 
 class CorpusIndexReader:
-    """Read-only memmap view of an inverted index (base + segments).
+    """Postings view over a :class:`CorpusStoreReader`.
 
-    Mirrors :class:`~repro.webtree.store.CorpusStoreReader`: cheap to
-    open, safe to share across threads, picklable by path, and
-    :meth:`reload`-able in place when a new generation is published.
+    Holds no generation of its own: every query reads the store reader's
+    current :class:`~repro.webtree.store.StoreSnapshot` (or one the
+    caller pinned), and the live masks are derived per snapshot.
+    :meth:`reload` reloads the shared store reader and re-derives them.
+    Picklable by store path.  A store without postings opens fine (the
+    service keeps one reader per store either way); scoring it raises.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
-
-    def _install(
-        self,
-        manifest: dict,
-        files: "list[_IndexFile]",
-        routing: "dict[str, tuple[_IndexFile, int]]",
-        removed: "set[str]",
-    ) -> None:
-        self._manifest = manifest
-        self._generation = int(manifest["generation"])
-        self._files = files
-        self._routing = routing
-        self._removed = removed
-        # Per file: which local page ids still own their fingerprint
-        # under shadowing/removal — the mask the scorer applies so a
-        # stale segment row can never produce a candidate.
-        self._live_masks = []
-        for index_file in files:
-            mask = np.zeros(len(index_file.pages), dtype=bool)
-            for page_id, fingerprint in enumerate(index_file.pages):
-                owner = routing.get(fingerprint)
-                if owner is not None and owner[0] is index_file:
-                    mask[page_id] = True
-            self._live_masks.append(mask)
+    def __init__(self, store: "CorpusStoreReader | str") -> None:
+        if not isinstance(store, CorpusStoreReader):
+            store = CorpusStoreReader(store)
+        self.store = store
+        self._masks: "tuple[Optional[StoreSnapshot], object]" = (None, None)
+        self._scan_idf: "tuple[Optional[StoreSnapshot], object]" = (None, None)
 
     # -- pickling (reopen by path) ------------------------------------------
 
     def __getstate__(self) -> dict:
-        return {"path": self.path}
+        return {"store": self.store}
 
     def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
+        self.__init__(state["store"])
 
     # -- generations ---------------------------------------------------------
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    @property
-    def store_generation(self) -> int:
-        """The store generation this index generation was published for.
-
-        Published ``.gen`` manifests record it explicitly (a
-        manifest-only publish — e.g. a removal — advances it without a
-        new segment file); a synthetic generation-0 manifest falls back
-        to the base file's own record.
-        """
-        return int(
-            self._manifest.get(
-                "store_generation", self._files[0].store_generation
-            )
-        )
-
     def reload(self) -> bool:
-        """Re-open the newest published generation; True when it changed."""
-        with self._lock:
-            manifest, files, routing, removed = _open_generation(self.path)
-            changed = (
-                int(manifest["generation"]) != self._generation
-                or routing.keys() != self._routing.keys()
-            )
-            self._install(manifest, files, routing, removed)
-            return changed
+        """Reload the store reader; True when its generation or page set
+        changed."""
+        changed = self.store.reload()
+        snapshot = self.store.snapshot()
+        if snapshot.indexed:
+            self._live(snapshot)
+        return changed
 
-    def ensure_fresh(self, store: "object") -> None:
-        """Fail closed unless this index matches ``store``'s generation.
+    def _live(self, snapshot: StoreSnapshot) -> "list[np.ndarray]":
+        cached_snapshot, masks = self._masks
+        if cached_snapshot is not snapshot:
+            if not snapshot.indexed:
+                raise _no_index(self.store.path)
+            masks = _live_masks(snapshot)
+            self._masks = (snapshot, masks)
+        return masks  # type: ignore[return-value]
 
-        Reloads once to pick up a freshly published index generation;
-        if the store is still ahead the postings cannot be trusted to be
-        exact and routing must not silently degrade — rebuild with
-        ``repro corpus index`` (or let the live-corpus hooks do it).
+    # -- postings queries ----------------------------------------------------
+
+    def idf(self, snapshot: "Optional[StoreSnapshot]" = None) -> IdfModel:
+        """The IdfModel postings are weighted with: the base manifest's.
+
+        On a store without postings this is the exhaustive scan's
+        fallback — a fit over the snapshot's pages in sorted-fingerprint
+        order (exactly the build pass of :func:`build_corpus_index`),
+        cached per snapshot.
         """
-        store_generation = store.generation  # type: ignore[attr-defined]
-        if self.store_generation == store_generation:
-            return
-        self.reload()
-        if self.store_generation != store_generation:
-            raise IngestError(
-                f"corpus index {self.path!r} is stale: built for store "
-                f"generation {self.store_generation}, store is at "
-                f"{store_generation}; run `repro corpus index` to rebuild"
+        if snapshot is None:
+            snapshot = self.store.snapshot()
+        if snapshot.idf is not None:
+            return IdfModel.from_dict(snapshot.idf)
+        cached_snapshot, idf = self._scan_idf
+        if cached_snapshot is not snapshot:
+            idf = IdfModel.fit(
+                page_text(snapshot.load(fingerprint)[0])
+                for fingerprint in sorted(snapshot.fingerprints())
             )
-
-    # -- manifest queries ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._routing)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._routing
-
-    def fingerprints(self) -> Iterator[str]:
-        return iter(self._routing)
-
-    def idf(self) -> IdfModel:
-        """The IdfModel segments weight with (the base file's statistics)."""
-        return IdfModel.from_dict(self._files[0].idf_state)
+            self._scan_idf = (snapshot, idf)
+        return idf  # type: ignore[return-value]
 
     def postings_for(self, fingerprint: str) -> dict[str, np.float32]:
         """All (term → weight) postings of one live page, for tests/stat."""
-        owner = self._routing.get(fingerprint)
-        if owner is None:
+        snapshot = self.store.snapshot()
+        store_file = snapshot.routing.get(fingerprint)
+        if store_file is None:
             return {}
-        index_file, page_id = owner
+        if store_file.postings is None:
+            raise _no_index(self.store.path)
+        postings = store_file.postings
+        page_id = postings.pages.index(fingerprint)
         result: dict[str, np.float32] = {}
-        for i, term in enumerate(index_file.terms):
-            start, end = int(index_file.offsets[i]), int(index_file.offsets[i + 1])
-            ids = index_file.page_ids[start:end]
+        for term in postings.terms:
+            ids, weights = postings.lookup(term)
             hit = np.nonzero(ids == page_id)[0]
             if hit.size:
-                result[term] = np.float32(
-                    index_file.weights[start + int(hit[0])]
-                )
+                result[term] = np.float32(weights[int(hit[0])])
         return result
-
-    def stat(self) -> dict:
-        return {
-            "path": self.path,
-            "file_bytes": sum(int(f.raw.size) for f in self._files),
-            "pages": len(self._routing),
-            "terms": sum(len(f.terms) for f in self._files),
-            "postings": sum(len(f.page_ids) for f in self._files),
-            "generation": self._generation,
-            "store_generation": self.store_generation,
-            "segments": len(self._files) - 1,
-            "removed_pages": len(self._removed),
-        }
 
     # -- scoring -------------------------------------------------------------
 
-    def score(self, query: Mapping[str, float]) -> "list[tuple[str, float]]":
+    def score(
+        self,
+        query: Mapping[str, float],
+        snapshot: "Optional[StoreSnapshot]" = None,
+    ) -> "list[tuple[str, float]]":
         """Sparse dot-product of ``query`` against every live page.
 
         Returns ``(fingerprint, score)`` for every page with a positive
@@ -455,18 +236,24 @@ class CorpusIndexReader:
         any top-k cut is deterministic.  Accumulation is float64 over
         float32 postings in sorted-term order (see the module
         docstring's bit-exactness contract with the scan path).
+        ``snapshot`` pins the generation scored (default: current).
         """
+        if snapshot is None:
+            snapshot = self.store.snapshot()
+        masks = self._live(snapshot)
         terms = sorted(query)
         results: list[tuple[str, float]] = []
-        for index_file, live in zip(self._files, self._live_masks):
+        for store_file, live in zip(snapshot.files, masks):
             if not live.any():
                 continue
-            scores = np.zeros(len(index_file.pages), dtype=np.float64)
-            touched = np.zeros(len(index_file.pages), dtype=bool)
+            postings = store_file.postings
+            scores = np.zeros(len(postings.pages), dtype=np.float64)
+            touched = np.zeros(len(postings.pages), dtype=bool)
             for term in terms:
-                page_ids, weights = index_file.postings(term)
-                if not len(page_ids):
+                found = postings.lookup(term)
+                if found is None:
                     continue
+                page_ids, weights = found
                 np.add.at(
                     scores,
                     page_ids,
@@ -474,7 +261,7 @@ class CorpusIndexReader:
                 )
                 touched[page_ids] = True
             hits = np.nonzero(touched & live & (scores > 0.0))[0]
-            pages = index_file.pages
+            pages = postings.pages
             results.extend(
                 (pages[int(page_id)], float(scores[int(page_id)]))
                 for page_id in hits
@@ -482,215 +269,62 @@ class CorpusIndexReader:
         results.sort(key=lambda item: (-item[1], item[0]))
         return results
 
-    def route(
-        self, query: Mapping[str, float], top_k: Optional[int] = None
-    ) -> "list[tuple[str, float]]":
-        """Top-``top_k`` candidates for ``query`` (all matches if None)."""
-        scored = self.score(query)
-        if top_k is not None:
-            scored = scored[: max(0, int(top_k))]
-        return scored
-
-
-class CorpusIndexUpdater:
-    """Crash-safe incremental index mutations, one generation at a time.
-
-    The exact two-step publish of the store updater, over index files:
-    staged pages stream into a complete segment file published by
-    :meth:`publish_segment` (step 1, atomic rename), made visible only
-    by the ``.gen`` manifest swap of :meth:`publish_manifest` (step 2).
-    A crash — or any torn byte — between or during the steps leaves the
-    previous index generation fully openable, which the torn-byte sweep
-    in the tests drives literally.  Staged postings are weighted with
-    the **base generation's IdfModel** so segment scores remain
-    comparable with base scores.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self._reader = CorpusIndexReader(self.path)
-        self._idf = self._reader.idf()
-        self._base_generation = self._reader.generation
-        self._segment_target = segment_path(self.path, self._base_generation + 1)
-        self._staged: dict[str, dict[str, np.float32]] = {}
-        self._removed = set(self._reader._removed)
-        self._segment_published = False
-        self._closed = False
-
-    def __enter__(self) -> "CorpusIndexUpdater":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and not self._closed:
-            raise ValueError(
-                "CorpusIndexUpdater.commit(store_generation) was not called"
-            )
-        if exc_type is not None:
-            self.abort()
-
-    @property
-    def generation(self) -> int:
-        return self._base_generation + 1
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ValueError("index updater is closed")
-
-    def stage(self, fingerprint: str, page: "object") -> None:
-        """Stage (re)indexing of one page for the next generation."""
-        self._check_open()
-        self._staged[fingerprint] = page_postings(page_text(page), self._idf)
-        self._removed.discard(fingerprint)
-
-    def remove(self, fingerprint: str) -> None:
-        """Stage removal of one page's postings."""
-        self._check_open()
-        self._staged.pop(fingerprint, None)
-        self._removed.add(fingerprint)
-
-    def publish_segment(self, store_generation: int) -> None:
-        """Step 1: atomically publish the segment file (no visibility)."""
-        self._check_open()
-        if self._segment_published or not self._staged:
-            return
-        publish_bytes(
-            self._segment_target,
-            _pack_index(self._staged, self._idf, store_generation),
-        )
-        self._segment_published = True
-
-    def publish_manifest(self, store_generation: int) -> int:
-        """Step 2: atomically swap the ``.gen`` manifest (visibility)."""
-        self._check_open()
-        names = [
-            os.path.basename(index_file.path)
-            for index_file in self._reader._files[1:]
-        ]
-        if self._segment_published:
-            names.append(os.path.basename(self._segment_target))
-        generation = self._base_generation + 1
-        payload = json.dumps(
-            {
-                "format": GEN_FORMAT,
-                "generation": generation,
-                "segments": names,
-                "removed": sorted(self._removed),
-                "store_generation": int(store_generation),
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        ).encode("utf-8")
-        publish_bytes(generation_path(self.path), payload)
-        self._closed = True
-        return generation
-
-    def commit(self, store_generation: int) -> int:
-        """Publish all staged mutations; returns the live generation."""
-        self._check_open()
-        self.publish_segment(store_generation)
-        return self.publish_manifest(store_generation)
-
-    def abort(self) -> None:
-        """Discard staged mutations; published files are untouched."""
-        self._closed = True
-
-    def abandon(self) -> None:
-        """Simulate a crash mid-update (tests/chaos)."""
-        self._closed = True
-
 
 def build_corpus_index(
-    store_path: str,
-    idx_path: "Optional[str]" = None,
-    idf: "Optional[IdfModel]" = None,
+    store_path: str, idf: "Optional[IdfModel]" = None
 ) -> dict:
-    """Build (or fully rebuild) the inverted index for a corpus store.
+    """Index (or re-index) a corpus store: compact and refit the IDF.
 
-    One pass over the store's pages — rehydrated from the memmapped
-    planes, never parsed — fitting the IdfModel over the whole corpus
-    (unless one is supplied) and publishing a fresh single-file index
-    atomically.  If an older index had published generations, the
-    generation counter advances past them so live readers pick the
-    rebuild up on :meth:`~CorpusIndexReader.reload`.
+    One pass over the live pages — rehydrated from the memmapped planes,
+    never parsed — fitting the IdfModel over the whole corpus (unless
+    one is supplied) and publishing a fresh base holding every page's
+    planes and postings as the next store generation.  This is the
+    compaction of an indexed store; on a store without postings it adds
+    them.  Returns the new :meth:`~CorpusStoreReader.stat` plus the
+    collected stale files.
     """
-    from ..webtree.store import open_store
+    fitted = idf
 
-    store = open_store(store_path)
-    idx_path = idx_path or index_path(store_path)
-    fingerprints = sorted(store.fingerprints())
-    texts = {}
-    for fingerprint in fingerprints:
-        page, _ = store.load(fingerprint)
-        texts[fingerprint] = page_text(page)
-    if idf is None:
-        idf = IdfModel.fit(texts[fp] for fp in fingerprints)
-    postings_by_page = {
-        fingerprint: page_postings(text, idf)
-        for fingerprint, text in texts.items()
-    }
-    payload = _pack_index(postings_by_page, idf, store.generation)
-    previous_generation = 0
-    if os.path.exists(idx_path):
-        previous_generation = read_generation_manifest(idx_path)["generation"]
-    publish_bytes(idx_path, payload)
-    generation = previous_generation + 1 if previous_generation else 0
-    if os.path.exists(generation_path(idx_path)) or generation:
-        publish_bytes(
-            generation_path(idx_path),
-            json.dumps(
-                {
-                    "format": GEN_FORMAT,
-                    "generation": generation,
-                    "segments": [],
-                    "removed": [],
-                    "store_generation": int(store.generation),
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            ).encode("utf-8"),
-        )
-    reader = CorpusIndexReader(idx_path)
-    stat = reader.stat()
+    def reindex(snapshot: StoreSnapshot):
+        fingerprints = sorted(snapshot.fingerprints())
+        texts = [page_text(snapshot.load(fp)[0]) for fp in fingerprints]
+        model = fitted if fitted is not None else IdfModel.fit(texts)
+        postings = {
+            fingerprint: page_postings(text, model)
+            for fingerprint, text in zip(fingerprints, texts)
+        }
+        return model.to_dict(), postings
+
+    report = compact_store(store_path, reindex=reindex)
+    stat = CorpusStoreReader(store_path).stat()
+    stat["collected"] = report["collected"]
     stat["rebuilt"] = True
     return stat
 
 
 def update_corpus_index(
-    store_path: str,
-    changed: "Sequence[str]" = (),
-    removed: "Sequence[str]" = (),
-    idx_path: "Optional[str]" = None,
-) -> "Optional[dict]":
-    """Incrementally advance the index after a store update.
+    updater: CorpusStoreUpdater, pages: "Mapping[str, object]"
+) -> int:
+    """Stage the postings of a feed's pages into an open store updater.
 
-    ``changed``/``removed`` are the fingerprints the store update
-    touched; changed pages are re-read from the (already published)
-    store generation.  No-op returning None when no index exists at the
-    canonical path — indexing stays opt-in until ``repro corpus index``
-    creates one.
+    ``pages`` maps fingerprint → page for (at least) every page the
+    updater wrote to its segment; each is weighted with the base IDF.
+    No-op on a store without postings.  Returns the pages staged.
     """
-    from ..webtree.store import open_store
-
-    idx_path = idx_path or index_path(store_path)
-    if not os.path.exists(idx_path):
-        return None
-    store = open_store(store_path)
-    updater = CorpusIndexUpdater(idx_path)
-    for fingerprint in removed:
-        updater.remove(fingerprint)
-    for fingerprint in changed:
-        entry = store.get(fingerprint)
-        if entry is None:
-            updater.remove(fingerprint)
-            continue
-        updater.stage(fingerprint, entry[0])
-    updater.commit(store.generation)
-    reader = CorpusIndexReader(idx_path)
-    stat = reader.stat()
-    stat["rebuilt"] = False
-    return stat
+    if not updater.indexed:
+        return 0
+    idf = IdfModel.from_dict(updater.idf)
+    pending = updater.pending_postings()
+    for fingerprint in pending:
+        updater.add_postings(
+            fingerprint, page_postings(page_text(pages[fingerprint]), idf)
+        )
+    return len(pending)
 
 
-def open_corpus_index(path: str) -> CorpusIndexReader:
-    """Open an existing corpus index (validating its structure)."""
-    return CorpusIndexReader(path)
+def open_corpus_index(store_path: str) -> CorpusIndexReader:
+    """Open the index of an existing store; IngestError if it has none."""
+    reader = CorpusIndexReader(store_path)
+    if not reader.store.snapshot().indexed:
+        raise _no_index(reader.store.path)
+    return reader

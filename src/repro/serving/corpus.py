@@ -118,24 +118,19 @@ def update_corpus_store(
     pipeline and appended as an update segment entry; any live page with
     the same url is superseded (its fingerprint lands in the
     generation's ``removed`` set).  ``remove_urls`` drops pages outright.
-    The publish is crash-safe end to end (segment rename, then manifest
-    rename — see :mod:`repro.webtree.store`); a no-op update leaves the
-    store untouched at its current generation.
+    On an indexed store the segment carries the new pages' postings, so
+    the one crash-safe publish (segment rename, then manifest rename —
+    see :mod:`repro.webtree.store`) advances pages and index together; a
+    no-op update leaves the store untouched at its current generation.
 
     With ``compact`` the generations are squashed into a fresh base
-    afterwards and stale files collected.  Returns a report merging the
-    post-update :meth:`~repro.webtree.store.CorpusStoreReader.stat` with
-    update counts — the ``repro corpus update`` CLI body.
-
-    When an inverted index exists at the canonical sidecar path
-    (``repro corpus index`` has been run), it is advanced in lock-step:
-    incrementally for a plain update, by full rebuild after compaction
-    (IDF statistics are refit over the squashed corpus).  Either way the
-    published index generation records the new store generation, so
-    routed answering stays exact across updates.
+    afterwards (:func:`compact_corpus`) and stale files collected.
+    Returns a report merging the post-update
+    :meth:`~repro.webtree.store.CorpusStoreReader.stat` with update
+    counts — the ``repro corpus update`` CLI body.
     """
-    from ..retrieval.index import build_corpus_index, index_path, update_corpus_index
-    from ..webtree.store import CorpusStoreUpdater, compact_store
+    from ..retrieval import index
+    from ..webtree.store import CorpusStoreUpdater
     from .ingest import page_fingerprint
 
     reader = CorpusStoreReader(path)
@@ -147,8 +142,6 @@ def update_corpus_store(
     stats = IngestStats()
     started = time.perf_counter()
     updated = removed = missing = 0
-    changed_fps: list[str] = []
-    removed_fps: list[str] = []
     with CorpusStoreUpdater(path) as updater:
         for html, url in documents:
             fingerprint = page_fingerprint(html, url)
@@ -158,10 +151,9 @@ def update_corpus_store(
             outcome = ingest_page(html, url, stats=stats, limits=limits)
             if stale is not None:
                 updater.remove(stale)
-                removed_fps.append(stale)
             if updater.update(fingerprint, outcome.page, degraded=outcome.degraded):
                 updated += 1
-                changed_fps.append(fingerprint)
+                index.update_corpus_index(updater, {fingerprint: outcome.page})
             by_url[url] = fingerprint
         for url in remove_urls:
             stale = by_url.get(url)
@@ -169,22 +161,12 @@ def update_corpus_store(
                 missing += 1
             elif updater.remove(stale):
                 removed += 1
-                removed_fps.append(stale)
+    if compact:
+        collected = compact_corpus(path)["collected"]
     reader.reload()
     report = reader.stat()
     if compact:
-        compacted = compact_store(path)
-        reader.reload()
-        report = reader.stat()
-        report["collected"] = len(compacted["collected"])
-    index_report = None
-    if os.path.exists(index_path(path)):
-        if compact:
-            index_report = build_corpus_index(path)
-        elif changed_fps or removed_fps:
-            index_report = update_corpus_index(
-                path, changed=changed_fps, removed=removed_fps
-            )
+        report["collected"] = len(collected)
     report.update(
         {
             "updated": updated,
@@ -192,10 +174,24 @@ def update_corpus_store(
             "missing_urls": missing,
             "degraded_updates": stats.pages_degraded,
             "update_seconds": round(time.perf_counter() - started, 4),
-            "index": index_report,
         }
     )
     return report
+
+
+def compact_corpus(path: str) -> dict:
+    """Squash a store's generations into a fresh base.
+
+    On an indexed store this is
+    :func:`~repro.retrieval.index.build_corpus_index`: compaction refits
+    the IDF over the live pages.
+    """
+    from ..retrieval.index import build_corpus_index
+    from ..webtree.store import compact_store
+
+    if CorpusStoreReader(path).snapshot().indexed:
+        return build_corpus_index(path)
+    return compact_store(path)
 
 
 def corpus_stat(path: str) -> dict:

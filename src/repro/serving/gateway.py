@@ -63,15 +63,8 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 
-from ..core.errors import DeadlineExceeded, IngestError, RejectedError
-from ..retrieval.router import (
-    DEFAULT_TOP_K,
-    CorpusAnswer,
-    build_answer,
-    cut_top_k,
-    query_terms,
-    scan_scores,
-)
+from ..core.errors import DeadlineExceeded, RejectedError
+from ..retrieval.router import DEFAULT_TOP_K, CorpusAnswer
 from ..runtime.batchq import CoalescingQueue, QueueClosed
 from .faults import FaultInjector, FaultPlan
 from .ingest import DEFAULT_LIMITS, ServingLimits, page_fingerprint
@@ -246,6 +239,9 @@ class ServingGateway:
             )
             for _ in range(shards)
         ]
+        #: The postings view over the shared store (shard 0's); a live
+        #: corpus reloads the store through it.
+        self.index = self._shards[0].index
         self._queues = [
             CoalescingQueue(
                 max_batch=max_batch,
@@ -436,22 +432,19 @@ class ServingGateway:
             if shard.stats.span_ended is not None
         ]
         span = (max(ends) - min(starts)) if starts and ends else 0.0
-        index = self._shards[0].corpus_index(required=False)
         return {
             "shards": self.shards,
             "closed": self._closed,
             "queue_depths": self.queue_depths(),
             "queue_depth_bound": self.queue_depth,
             # Live-corpus churn observability: exact invalidations per
-            # shard, plus the published store/index generations.
+            # shard, plus the one published generation of the store's
+            # pages and postings.
             "invalidations": [
                 h["ingest"]["invalidations"] for h in shard_health
             ],
-            "store_generation": (
+            "generation": (
                 self.store.generation if self.store is not None else None
-            ),
-            "index_generation": (
-                index.generation if index is not None else None
             ),
             "inflight": [h["inflight"] for h in shard_health],
             "pools_broken": [h["pools_broken"] for h in shard_health],
@@ -571,57 +564,29 @@ class ServingGateway:
     ) -> CorpusAnswer:
         """Corpus-scale answering through the sharded data plane.
 
-        Scoring runs once at the front (the memmap index is shared, like
-        the store); each candidate page then fans out through
-        :meth:`_submit_to` on its *content-affinity* shard — the shard
-        whose cache owns that fingerprint — so routed fan-outs coalesce
-        with ordinary page traffic and the per-shard cache partitioning
-        is preserved.  The consensus tail is the service's own
-        (:func:`~repro.retrieval.router.build_answer`), so a gateway
-        answer is bit-identical to a single-service
+        Scoring runs once at the front, in the service helper
+        :meth:`~repro.serving.service.QAService.answer_corpus` (the store
+        and its postings are shared by every shard); each candidate page
+        then fans out through :meth:`_submit_to` on its
+        *content-affinity* shard — the shard whose cache owns that
+        fingerprint — so routed fan-outs coalesce with ordinary page
+        traffic and the per-shard cache partitioning is preserved.  The
+        rest is the service's own code, so a gateway answer is
+        bit-identical to a single-service
         :meth:`~repro.serving.service.QAService.ask_corpus` over the
         same store, routed or exhaustive alike.
         """
-        if self.store is None:
-            raise IngestError(
-                "ask_corpus needs a corpus store; construct the gateway "
-                "with store=..."
-            )
-        front = self._shards[0]
-        tool = self.tool(route)
-        if question is None:
-            question = tool._question
-        query = query_terms(question, tool._keywords)
-        if exhaustive:
-            scored = scan_scores(self.store, front._corpus_scan_idf(), query)
-        else:
-            index = front.corpus_index()
-            index.ensure_fresh(self.store)
-            scored = index.score(query)
-        candidates = cut_top_k(scored, top_k)
-        answers: "list[tuple[str, ...] | None]" = []
-        if candidates:
+        def fan_out(
+            fingerprints: "list[str]", requests: "list[ServingRequest]"
+        ) -> list:
             futures = [
-                self._submit_to(
-                    self.shard_of_fingerprint(fingerprint),
-                    ServingRequest(
-                        route=route, page=self.store.load(fingerprint)[0]
-                    ),
-                )
-                for fingerprint, _ in candidates
+                self._submit_to(self.shard_of_fingerprint(fingerprint), request)
+                for fingerprint, request in zip(fingerprints, requests)
             ]
-            results = self._gather(futures, timeout)
-            answers = [
-                result.answer if result.ok else None for result in results
-            ]
-        return build_answer(
-            route,
-            question,
-            candidates,
-            answers,
-            top_k=top_k,
-            routed=not exhaustive,
-            url_of=lambda fp: (self.store.entry(fp) or {}).get("url") or None,
+            return self._gather(futures, timeout)
+
+        return self._shards[0].answer_corpus(
+            route, question, top_k, exhaustive, fan_out
         )
 
     # -- asyncio front-end ---------------------------------------------------

@@ -41,7 +41,6 @@ and warm refit are *transparent* optimizations.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -49,6 +48,7 @@ from dataclasses import dataclass, replace
 from ..core.errors import IngestError
 from ..core.webqa import WebQA
 from ..metrics.scores import score_examples
+from ..retrieval import index as index_module
 from ..synthesis.examples import LabeledExample
 from ..synthesis.session import SynthesisSession
 from ..webtree.node import WebPage
@@ -270,29 +270,12 @@ class LiveCorpus:
             ]
             for tracked in affected:
                 self._replace_page(tracked, url, outcome.page, gold)
-            if wait or not affected:
-                swaps = tuple(
-                    self._refit_route(tracked, feed_index)
-                    for tracked in affected
-                )
-                return FeedReport(
-                    url=url, fingerprint=new_fingerprint,
-                    previous_fingerprint=previous, generation=generation,
-                    invalidated=invalidated, unchanged=False, swaps=swaps,
-                )
-            thread = threading.Thread(
-                target=self._refit_background,
-                args=([tracked.route for tracked in affected], feed_index),
-                name=f"live-refit-{feed_index}",
-                daemon=True,
-            )
-            self._pending.append(thread)
-            thread.start()
+            swaps, pending = self._refit(affected, feed_index, wait)
             return FeedReport(
                 url=url, fingerprint=new_fingerprint,
                 previous_fingerprint=previous, generation=generation,
-                invalidated=invalidated, unchanged=False,
-                pending_routes=tuple(t.route for t in affected),
+                invalidated=invalidated, unchanged=False, swaps=swaps,
+                pending_routes=pending,
             )
 
     def remove(self, url: str, *, wait: bool = True) -> FeedReport:
@@ -344,26 +327,11 @@ class LiveCorpus:
                     touched = True
                 if touched:
                     affected.append(tracked)
-            swaps = tuple(
-                self._refit_route(tracked, feed_index)
-                for tracked in (affected if wait else ())
-            )
-            if not wait and affected:
-                thread = threading.Thread(
-                    target=self._refit_background,
-                    args=([t.route for t in affected], feed_index),
-                    name=f"live-refit-{feed_index}",
-                    daemon=True,
-                )
-                self._pending.append(thread)
-                thread.start()
+            swaps, pending = self._refit(affected, feed_index, wait)
             return FeedReport(
                 url=url, fingerprint="", previous_fingerprint=previous,
                 generation=generation, invalidated=invalidated,
-                unchanged=False, swaps=swaps,
-                pending_routes=tuple(
-                    t.route for t in (affected if not wait else ())
-                ),
+                unchanged=False, swaps=swaps, pending_routes=pending,
             )
 
     def drain(self) -> "list[RouteSwap]":
@@ -382,22 +350,16 @@ class LiveCorpus:
     def compact(self) -> dict:
         """Squash generations into a fresh base; reload the reader.
 
-        An inverted index riding the store is fully rebuilt (IDF refit
-        over the squashed corpus) so its generation matches the
-        compacted store's.
+        On an indexed store this refits the IDF over the live pages
+        (:func:`~repro.serving.corpus.compact_corpus`).
         """
-        from ..retrieval.index import build_corpus_index, index_path
-        from ..webtree.store import compact_store
+        from .corpus import compact_corpus
 
         with self._lock:
             if self.store_path is None:
                 raise ValueError("no store attached to compact")
-            report = compact_store(self.store_path)
-            store = getattr(self.service, "store", None)
-            if store is not None:
-                store.reload()
-            if os.path.exists(index_path(self.store_path)):
-                report["index"] = build_corpus_index(self.store_path)
+            report = compact_corpus(self.store_path)
+            self._reload()
             return report
 
     # -- internals -----------------------------------------------------------
@@ -405,6 +367,13 @@ class LiveCorpus:
     def _generation(self) -> int:
         store = getattr(self.service, "store", None)
         return store.generation if store is not None else -1
+
+    def _reload(self) -> None:
+        """Move the service's readers to the newest generation: the
+        index view reloads the shared store reader inside it."""
+        index = getattr(self.service, "index", None)
+        if index is not None:
+            index.reload()
 
     def _publish(
         self,
@@ -414,7 +383,11 @@ class LiveCorpus:
         degraded: bool,
         removals: "tuple[str, ...]",
     ) -> int:
-        """Run the two-step store publish, with fault hooks in the seams."""
+        """Run the two-step store publish, with fault hooks in the seams.
+
+        On an indexed store the segment carries the page's postings, so
+        the one manifest swap publishes planes and postings together.
+        """
         if self.store_path is None:
             return -1
         updater = CorpusStoreUpdater(self.store_path)
@@ -423,6 +396,7 @@ class LiveCorpus:
                 updater.remove(stale)
             if page is not None:
                 updater.update(fingerprint, page, degraded=degraded)
+                index_module.update_corpus_index(updater, {fingerprint: page})
             if self._injector is not None and self._injector.tears_segment(
                 feed_index
             ):
@@ -445,34 +419,8 @@ class LiveCorpus:
             # disk for GC, exactly as a real crash would leave it.
             updater.abort()
             raise
-        store = getattr(self.service, "store", None)
-        if store is not None:
-            store.reload()
-        self._sync_index(
-            changed=(fingerprint,) if page is not None else (),
-            removed=removals,
-        )
+        self._reload()
         return generation
-
-    def _sync_index(
-        self, changed: "tuple[str, ...]", removed: "tuple[str, ...]"
-    ) -> None:
-        """Advance the inverted index to the just-published generation.
-
-        Runs strictly *after* the store publish (store-first ordering):
-        a crash in this window leaves the index one store generation
-        behind, which routed answering detects
-        (:meth:`~repro.retrieval.index.CorpusIndexReader.ensure_fresh`
-        fails closed with a rebuild hint) — stale postings never route.
-        No-op while no index has been built.
-        """
-        from ..retrieval.index import update_corpus_index
-
-        if self.store_path is None:
-            return
-        update_corpus_index(
-            self.store_path, changed=changed, removed=removed
-        )
 
     def _replace_page(
         self,
@@ -562,6 +510,27 @@ class LiveCorpus:
             previous_version=old_version, reason="",
             refit_seconds=elapsed, holdout_f1=holdout_f1,
         )
+
+    def _refit(
+        self, affected: "list[_TrackedRoute]", feed_index: int, wait: bool
+    ) -> "tuple[tuple[RouteSwap, ...], tuple[str, ...]]":
+        """Refit the affected routes now, or dispatch them to the
+        background; returns ``(swaps, pending routes)``."""
+        if wait or not affected:
+            swaps = tuple(
+                self._refit_route(tracked, feed_index) for tracked in affected
+            )
+            return swaps, ()
+        routes = [tracked.route for tracked in affected]
+        thread = threading.Thread(
+            target=self._refit_background,
+            args=(routes, feed_index),
+            name=f"live-refit-{feed_index}",
+            daemon=True,
+        )
+        self._pending.append(thread)
+        thread.start()
+        return (), tuple(routes)
 
     def _refit_background(
         self, routes: "list[str]", feed_index: int

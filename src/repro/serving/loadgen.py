@@ -598,7 +598,7 @@ def run_routed(config: LoadConfig, workload: Workload) -> dict:
             "per_route": per_route,
         }
     finally:
-        for suffix in ("", ".idx", ".gen", ".idx.gen"):
+        for suffix in ("", ".gen"):
             try:
                 os.unlink(store_path + suffix)
             except OSError:

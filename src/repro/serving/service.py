@@ -88,8 +88,7 @@ from ..core.errors import (
     is_transient,
 )
 from ..core.webqa import WebQA
-from ..nlp.vocab import IdfModel
-from ..retrieval.index import CorpusIndexReader, index_path, page_text
+from ..retrieval.index import CorpusIndexReader
 from ..retrieval.router import (
     DEFAULT_TOP_K,
     CorpusAnswer,
@@ -638,6 +637,9 @@ class QAService:
 
             store = CorpusStoreReader(store)
         self.store = store
+        #: The postings view over ``store`` that corpus routing scores
+        #: with; reloading it reloads the store reader inside it.
+        self.index = CorpusIndexReader(store) if store is not None else None
         self.jobs = jobs
         self.backend = backend
         self.max_batch = max_batch
@@ -657,15 +659,6 @@ class QAService:
         self._live: "object | None" = None
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        # Corpus routing state: the inverted-index reader opens lazily on
-        # the first ask_corpus; live-corpus churn (observed through cache
-        # invalidations) marks it stale so the next routed question
-        # reloads the newest published index generation before scoring.
-        self._corpus_index: "CorpusIndexReader | None" = None
-        self._corpus_index_lock = threading.Lock()
-        self._corpus_index_stale = False
-        self._scan_idf_cache: "tuple[int, IdfModel] | None" = None
-        self.cache.add_invalidation_listener(self._note_corpus_churn)
         # One long-lived pool for every micro-batch: a service dispatches
         # many small batches, and per-batch pool construction (worker
         # spawn, tool re-pickling on the process backend) would dominate.
@@ -812,70 +805,6 @@ class QAService:
 
     # -- corpus routing (ask the corpus, not a page) -------------------------------
 
-    def _note_corpus_churn(self, fingerprint: str) -> None:
-        """Cache-invalidation listener: live churn staled any open index."""
-        self._corpus_index_stale = True
-
-    def corpus_index(self, required: bool = True) -> "CorpusIndexReader | None":
-        """The inverted-index reader over this service's corpus store.
-
-        Opens lazily (and at most once); reloads to the newest published
-        generation whenever live-corpus churn was observed since the
-        last call.  ``required=False`` returns ``None`` instead of
-        raising when no store is attached or no index has been built.
-        """
-        if self.store is None:
-            if required:
-                raise IngestError(
-                    "ask_corpus needs a corpus store; construct the service "
-                    "with store=..."
-                )
-            return None
-        with self._corpus_index_lock:
-            if self._corpus_index is None:
-                path = index_path(self.store.path)
-                if not os.path.exists(path):
-                    if required:
-                        raise IngestError(
-                            f"no corpus index at {path!r}; run "
-                            "`repro corpus index` over the store first"
-                        )
-                    return None
-                self._corpus_index = CorpusIndexReader(path)
-                self._corpus_index_stale = False
-            elif self._corpus_index_stale:
-                self._corpus_index.reload()
-                self._corpus_index_stale = False
-            return self._corpus_index
-
-    def _corpus_scan_idf(self) -> IdfModel:
-        """The exhaustive scan's IdfModel: the index's own, or corpus-fit.
-
-        The IDF model is an *input* to the scoring specification, not
-        part of the routed-vs-exhaustive differential — so when an index
-        is published, the scan borrows its pinned model (incremental
-        segments keep the base generation's fit; see
-        :class:`~repro.retrieval.index.CorpusIndexUpdater`) and the two
-        paths stay bit-identical across live updates.  Without an index
-        the scan fits over the store pages in sorted-fingerprint order —
-        exactly the build pass of
-        :func:`~repro.retrieval.index.build_corpus_index`, so a freshly
-        built index scores identically to the fit-on-the-fly scan.
-        """
-        index = self.corpus_index(required=False)
-        if index is not None:
-            return index.idf()
-        generation = self.store.generation
-        cached = self._scan_idf_cache
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        idf = IdfModel.fit(
-            page_text(self.store.load(fingerprint)[0])
-            for fingerprint in sorted(self.store.fingerprints())
-        )
-        self._scan_idf_cache = (generation, idf)
-        return idf
-
     def ask_corpus(
         self,
         route: str,
@@ -887,23 +816,52 @@ class QAService:
     ) -> CorpusAnswer:
         """Answer a question *over the whole corpus*: route, fan out, vote.
 
-        The corpus-scale entry point (ROADMAP item 1): nobody hands the
-        service a page.  The question — by default the route's own
-        compiled question, with its attribute keywords — is tokenized
-        into a sparse term query; the inverted index scores it against
-        every page with one vectorized sparse dot-product; the ``top_k``
-        highest-scoring pages are fanned through the ordinary micro-batch
-        predict path (rehydrated from store planes, no parsing); and the
-        transductive consensus rule elects the answer among the
-        candidates' predictions, returned with full page provenance.
+        The corpus-scale entry point: nobody hands the service a page.
+        The question — by default the route's own compiled question,
+        with its attribute keywords — is tokenized into a sparse term
+        query; the store's postings score it against every page with one
+        vectorized sparse dot-product; the ``top_k`` highest-scoring
+        pages are fanned through the ordinary micro-batch predict path
+        (rehydrated from store planes, no parsing); and the transductive
+        consensus rule elects the answer among the candidates'
+        predictions, returned with full page provenance.
 
-        ``exhaustive=True`` bypasses the index and scores every store
+        ``exhaustive=True`` bypasses the postings and scores every store
         page on the fly — the O(corpus) reference path.  By construction
         (shared weighting, pinned accumulation order, same candidate
         rule, same consensus) its :class:`CorpusAnswer` is bit-identical
-        to the routed one; the differential tests and the
-        ``--routed`` load phase hold the two to exact equality while the
-        benchmarks measure the gap between their costs.
+        to the routed one; the differential tests and the ``--routed``
+        load phase hold the two to exact equality while the benchmarks
+        measure the gap between their costs.
+        """
+
+        def fan_out(
+            fingerprints: "list[str]", requests: "list[ServingRequest]"
+        ) -> "list[ServingResult]":
+            return self.ask_many(
+                requests, strict=False, deadline_seconds=deadline_seconds
+            )
+
+        return self.answer_corpus(route, question, top_k, exhaustive, fan_out)
+
+    def answer_corpus(
+        self,
+        route: str,
+        question: "str | None",
+        top_k: "int | None",
+        exhaustive: bool,
+        fan_out,
+    ) -> CorpusAnswer:
+        """Query → score → top-k → ``fan_out`` → consensus, on one generation.
+
+        The shared body of :meth:`ask_corpus` and the gateway's: only
+        ``fan_out`` differs between them.  It takes the candidates'
+        fingerprints and one :class:`ServingRequest` per candidate, and
+        returns one :class:`ServingResult` per request.
+
+        Scoring, page loads and urls all read one pinned store snapshot,
+        so a feed reloading the store mid-question cannot mix two
+        generations (or lose a candidate page it replaced).
         """
         if self.store is None:
             raise IngestError(
@@ -914,26 +872,26 @@ class QAService:
         if question is None:
             question = tool._question
         query = query_terms(question, tool._keywords)
+        snapshot = self.store.snapshot()
         if exhaustive:
-            scored = scan_scores(self.store, self._corpus_scan_idf(), query)
+            scored = scan_scores(snapshot, self.index.idf(snapshot), query)
         else:
-            index = self.corpus_index()
-            index.ensure_fresh(self.store)
-            scored = index.score(query)
+            scored = self.index.score(query, snapshot)
         candidates = cut_top_k(scored, top_k)
         answers: "list[tuple[str, ...] | None]" = []
         if candidates:
-            requests = [
-                ServingRequest(
-                    route=route, page=self.store.load(fingerprint)[0]
-                )
-                for fingerprint, _ in candidates
-            ]
-            outcomes = self.ask_many(
-                requests, strict=False, deadline_seconds=deadline_seconds
+            results = fan_out(
+                [fingerprint for fingerprint, _ in candidates],
+                [
+                    ServingRequest(
+                        route=route,
+                        page=self.store.load(fingerprint, snapshot)[0],
+                    )
+                    for fingerprint, _ in candidates
+                ]
             )
             answers = [
-                outcome.answer if outcome.ok else None for outcome in outcomes
+                result.answer if result.ok else None for result in results
             ]
         return build_answer(
             route,
@@ -942,7 +900,7 @@ class QAService:
             answers,
             top_k=top_k,
             routed=not exhaustive,
-            url_of=lambda fp: (self.store.entry(fp) or {}).get("url") or None,
+            url_of=lambda fp: (snapshot.entry(fp) or {}).get("url") or None,
         )
 
     def inject_faults(
@@ -973,12 +931,8 @@ class QAService:
             "epochs": {r: s.epoch for r, s in states},
             "stats": self.stats.as_dict(),
             "ingest": self.cache.stats.as_dict(),
+            # One generation covers the store's pages and postings.
             "store": self.store.stat() if self.store is not None else None,
-            "index": (
-                index.stat()
-                if (index := self.corpus_index(required=False)) is not None
-                else None
-            ),
         }
 
     # -- admission ---------------------------------------------------------------

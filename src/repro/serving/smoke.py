@@ -277,7 +277,7 @@ def run_routing_export(
 ) -> int:
     """``corpus-export`` plus the inverted routing index + expectations.
 
-    Builds the store and its ``.idx`` sibling, then records each task's
+    Builds the store and indexes it in place, then records each task's
     routed :class:`~repro.retrieval.router.CorpusAnswer` so the fresh-
     process ``routing-serve`` phase can demand bit-identical answers and
     provenance.
@@ -305,18 +305,15 @@ def run_routing_export(
     return 0
 
 
-def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
-    """Route and answer from the index in a fresh process.
+def _route_every_task(
+    out_dir: Path, jobs: int, max_batch: int, label: str, expected=None
+) -> int:
+    """Ask every exported task routed and exhaustive; count divergences.
 
-    Three bars on top of the recorded expectations: zero ``parse_html``
-    calls (candidates rehydrate from store planes), zero synthesis
-    calls (artifacts only), and routed ≡ exhaustive — the top-k answer,
-    provenance and candidate ranking must be bit-identical to a full
-    scan of every store page, re-proving the equivalence contract in
-    the serving process itself.
+    Routed must equal exhaustive on every :data:`ROUTING_KEYS` field and
+    (when ``expected`` holds recorded answers) equal the recording, and
+    every route must produce an answer.
     """
-    parses_before = parse_call_count()
-    calls_before = synthesis_call_count()
     manifest = read_artifact(str(out_dir / MANIFEST))
     routing = read_artifact(str(out_dir / ROUTING_FILE))
     top_k = int(routing["top_k"])
@@ -332,25 +329,45 @@ def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
                 task_id, top_k=top_k, exhaustive=True
             )
             got, reference = routed.as_dict(), exhaustive.as_dict()
-            expected = routing["tasks"][task_id]
             for key in ROUTING_KEYS:
                 if got[key] != reference[key]:
                     failures += 1
                     print(
-                        f"ROUTED != EXHAUSTIVE for {task_id}.{key}: "
+                        f"ROUTED != EXHAUSTIVE{label} for {task_id}.{key}: "
                         f"{got[key]!r} vs {reference[key]!r}",
                         file=sys.stderr,
                     )
-                if got[key] != expected[key]:
+                if expected is not None and got[key] != expected[task_id][key]:
                     failures += 1
                     print(
-                        f"MISMATCH vs export for {task_id}.{key}: "
-                        f"got {got[key]!r}, expected {expected[key]!r}",
+                        f"MISMATCH vs export for {task_id}.{key}: got "
+                        f"{got[key]!r}, expected {expected[task_id][key]!r}",
                         file=sys.stderr,
                     )
             if not routed.ok:
                 failures += 1
                 print(f"NO ANSWER routed for {task_id}", file=sys.stderr)
+    return failures
+
+
+def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
+    """Route and answer from the index in a fresh process.
+
+    Three bars on top of the recorded expectations: zero ``parse_html``
+    calls (candidates rehydrate from store planes), zero synthesis
+    calls (artifacts only), and routed ≡ exhaustive — the top-k answer,
+    provenance and candidate ranking must be bit-identical to a full
+    scan of every store page, re-proving the equivalence contract in
+    the serving process itself.
+    """
+    parses_before = parse_call_count()
+    calls_before = synthesis_call_count()
+    manifest = read_artifact(str(out_dir / MANIFEST))
+    routing = read_artifact(str(out_dir / ROUTING_FILE))
+    top_k = int(routing["top_k"])
+    failures = _route_every_task(
+        out_dir, jobs, max_batch, "", expected=routing["tasks"]
+    )
     parse_calls = parse_call_count() - parses_before
     if parse_calls != 0:
         failures += 1
@@ -379,41 +396,30 @@ def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
 
 
 def run_routing_update(out_dir: Path) -> int:
-    """Verify the index tracks a live store update (`repro corpus update`).
+    """Verify the postings track a live store update (`repro corpus update`).
 
-    Run after mutating the store: the index's recorded store generation
-    must match the store's, at least one index generation must have been
-    published, and — the strong form of "postings reflect the new
-    generation" — every live page's postings must equal a fresh
+    Run after mutating the store.  The store and its postings share one
+    generation, so the bars are: the store is still indexed (opening its
+    index raises otherwise), the update published a generation past the
+    index build (>= 2: the build itself is generation 1), and — the strong form of "postings reflect the new
+    generation" — every live page's postings equal a fresh
     :func:`~repro.retrieval.index.page_postings` pass over its current
     store text.  Finishes with a routed-vs-exhaustive pass over the
     updated corpus.
     """
-    from ..retrieval.index import index_path, open_corpus_index, page_postings, page_text
-    from ..webtree.store import open_store
+    from ..retrieval.index import open_corpus_index, page_postings, page_text
 
-    store_path = out_dir / CORPUS_FILE
-    store = open_store(str(store_path))
-    reader = open_corpus_index(index_path(str(store_path)))
+    reader = open_corpus_index(str(out_dir / CORPUS_FILE))
+    store = reader.store
     failures = 0
-    if reader.store_generation != store.generation:
+    if store.generation < 2:
         failures += 1
         print(
-            f"STALE INDEX: store generation {store.generation} vs index's "
-            f"recorded {reader.store_generation}",
-            file=sys.stderr,
-        )
-    if reader.generation < 1:
-        failures += 1
-        print(
-            f"NO NEW GENERATION: index generation {reader.generation} "
-            f"(an update must have published >= 1)",
+            f"NO NEW GENERATION: generation {store.generation} (the index "
+            f"build publishes 1; an update must publish >= 2)",
             file=sys.stderr,
         )
     store_fps = sorted(store.fingerprints())
-    if sorted(reader.fingerprints()) != store_fps:
-        failures += 1
-        print("PAGE SET DIVERGED between store and index", file=sys.stderr)
     idf = reader.idf()
     stale_pages = 0
     for fingerprint in store_fps:
@@ -427,28 +433,7 @@ def run_routing_update(out_dir: Path) -> int:
             f"postings differ from their current store text",
             file=sys.stderr,
         )
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    routing = read_artifact(str(out_dir / ROUTING_FILE))
-    top_k = int(routing["top_k"])
-    with QAService(jobs=1, store=str(store_path)) as service:
-        for entry in manifest["tasks"]:
-            task_id = entry["task_id"]
-            service.register(task_id, str(out_dir / entry["artifact"]))
-            routed = service.ask_corpus(task_id, top_k=top_k)
-            exhaustive = service.ask_corpus(
-                task_id, top_k=top_k, exhaustive=True
-            )
-            got, reference = routed.as_dict(), exhaustive.as_dict()
-            diverged = [
-                key for key in ROUTING_KEYS if got[key] != reference[key]
-            ]
-            if diverged:
-                failures += 1
-                print(
-                    f"ROUTED != EXHAUSTIVE after update for {task_id}: "
-                    f"{', '.join(diverged)}",
-                    file=sys.stderr,
-                )
+    failures += _route_every_task(out_dir, 1, 32, " after update")
     if failures:
         print(
             f"routing update smoke FAILED: {failures} problem(s)",
@@ -456,8 +441,7 @@ def run_routing_update(out_dir: Path) -> int:
         )
         return 1
     print(
-        f"routing update smoke OK: index generation {reader.generation} "
-        f"covers store generation {store.generation}; "
+        f"routing update smoke OK: generation {store.generation}; "
         f"{len(store_fps)} pages' postings current; routed == exhaustive"
     )
     return 0

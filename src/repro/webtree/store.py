@@ -1,11 +1,14 @@
-"""Disk-backed columnar store for indexed webpage trees.
+"""Disk-backed columnar store for indexed webpage trees and their postings.
 
 ``PageIndex`` is already a pre/post "XPath accelerator"-style window
 encoding in parallel arrays: pre-order ranks with ``exit``/``parent``/
 ``depth`` planes and rank-bitset masks.  This module persists exactly
 those planes, so a corpus is parsed **once** and every later process
 rehydrates pages straight from the planes — no HTML tokenizing, no
-tree walk, no Euler tour.
+tree walk, no Euler tour.  A store file may also carry the inverted
+keyword/entity postings of the pages it holds (see
+:mod:`repro.retrieval.index` for how they are weighted and scored), so
+page planes and routing postings are published by one commit.
 
 On-disk layout (store-format file, little-endian)::
 
@@ -17,7 +20,13 @@ On-disk layout (store-format file, little-endian)::
                text blob    UTF-8           (all node texts, one run)
                leaf bits    ceil(n/8)       (leaf_mask, little-endian)
                elem bits    ceil(n/8)       (elem_mask, little-endian)
-    manifest JSON: fingerprint → {url, degraded, n, offset, text_bytes}
+    postings (indexed files only) page_ids <u4, weights <f4 (one entry
+             per posting, grouped by term), offsets <u8 (n_terms+1
+             prefix offsets); page id i is the i-th fingerprint of the
+             file's pages in sorted order
+    manifest JSON: {"pages": fingerprint → {url, degraded, n, offset,
+             text_bytes}, "base": B, "postings": {terms, sections}?,
+             "idf": IDF state?}
     footer   u64 manifest_offset + u64 manifest_len + b"RPWSEND1"
 
 The manifest key is the serving layer's raw-bytes ``page_fingerprint``
@@ -27,48 +36,68 @@ property is the invalidation rule: any byte change to the HTML (or the
 url namespace) changes the key, so a stale entry can never be returned;
 re-ingesting the changed document simply misses and parses.
 
+A store is **indexed** when its base file carries a postings section;
+then every segment carries the postings of exactly the pages whose
+planes it holds, and only the base manifest holds the IDF table the
+postings were weighted with.  A file without postings in an indexed
+store (or the reverse) is corruption.
+
 Generational updates
 --------------------
 
 A published store is immutable, but it is not frozen: mutations land in
 **generations**.  ``<path>`` is the base file; each committed update
 generation appends a segment file ``<path>.seg-<G>`` (itself a complete
-store-format file) and atomically swaps the sidecar manifest
-``<path>.gen``::
+store-format file, postings included) and atomically swaps the sidecar
+manifest ``<path>.gen``::
 
     {"format": 1, "generation": G,
      "segments": ["<base>.seg-1", ...],     # applied in order
      "removed": ["<fingerprint>", ...]}     # hidden everywhere
 
-Later segments shadow earlier files; ``removed`` hides fingerprints in
-every file (re-adding a fingerprint drops it from ``removed`` — content
-addressing guarantees the surviving bytes are the right ones).  With no
-``.gen`` file the base alone is generation 0, so every pre-generational
-store opens unchanged.
+This manifest is the **single commit point** of both the page planes and
+the postings: one generation counter, one swap.  Later segments shadow
+earlier files; ``removed`` hides fingerprints in every file (re-adding a
+fingerprint drops it from ``removed`` — content addressing guarantees
+the surviving bytes are the right ones).  With no ``.gen`` file the base
+alone is generation 0, so every pre-generational store opens unchanged.
 
 The publish ordering is the crash-safety argument:
 
-1. segment blocks stream into ``<path>.seg-<G>.tmp``; finalize fsyncs
-   and ``os.replace``\\ s it to ``<path>.seg-<G>``;
+1. segment blocks stream into ``<path>.seg-<G>.tmp``; finalize appends
+   the postings section, fsyncs and ``os.replace``\\ s it to
+   ``<path>.seg-<G>``;
 2. the new ``.gen`` manifest is written to ``<path>.gen.tmp``, fsynced,
    and ``os.replace``\\ d over ``<path>.gen``;
 3. the directory is fsynced (best effort) so the renames are durable.
 
 A published manifest therefore only ever references fully-published
 files, and a crash at *any* byte boundary of steps 1–2 leaves either
-the previous ``.gen`` (previous generation, fully intact) or the new
-one (new generation, fully intact) — never a torn hybrid.  Orphan
-segments and stale ``*.tmp`` files from interrupted updates are inert
-(readers never open unreferenced files) and are deleted by
-:func:`collect_garbage`.  :func:`compact_store` folds all live pages
-back into a fresh base (replacing the base *before* publishing the
-manifest that drops the segments, so a crash between the two is safe —
-the old manifest over the new base still resolves every live page to
-identical bytes).  One writer at a time: updates, compaction and GC
-assume a single updating process, while any number of readers may hold
-older generations mapped — ``os.replace``/``unlink`` never disturb an
-open ``np.memmap``, and :meth:`CorpusStoreReader.reload` swaps a reader
-to the newest generation without invalidating pages already loaded.
+the previous ``.gen`` (previous generation, planes and postings fully
+intact) or the new one — never a torn hybrid.  Orphan segments and
+stale ``*.tmp`` files from interrupted updates are inert (readers never
+open unreferenced files) and are deleted by :func:`collect_garbage`.
+
+:func:`compact_store` folds all live pages back into a fresh base,
+which it replaces *before* publishing the manifest that drops the
+segments.  Every file records the **base id** ``B`` it belongs to (a
+compacted base takes its generation number as id; segments copy the id
+of the base they were written against).  A crash between the base
+replace and the manifest swap leaves the old manifest over the new
+base: its segments carry a stale base id, so readers skip them — the
+new base already holds every live page with identical bytes, and with
+postings weighted by its own IDF, so scores never mix two IDF fits.
+One writer at a time: updates, compaction and GC assume a single
+updating process, while any number of readers may hold older
+generations mapped — ``os.replace``/``unlink`` never disturb an open
+``np.memmap``.
+
+A reader installs each generation as one immutable
+:class:`StoreSnapshot` (generation, files, routing) with a single
+assignment; :meth:`CorpusStoreReader.reload` swaps the reader to the
+newest generation without invalidating pages already loaded, and a
+caller that pins one snapshot scores, loads and resolves urls against
+one generation even while a feed reloads the reader underneath it.
 
 Readers map each file with ``np.memmap`` and slice plane views out of
 it zero-copy; N worker processes opening one store share the read-only
@@ -78,8 +107,8 @@ precision ints, and ``1 << numpy_int`` overflows), which is the only
 materialization the load path pays besides decoding the text blob.
 
 Truncated or corrupt *published* files fail loudly: every structural
-check (magic, version, footer, manifest bounds, block bounds, text
-encoding, generation manifest shape) raises
+check (magic, version, footer, manifest bounds, block bounds, postings
+sections, text encoding, generation manifest shape) raises
 :class:`~repro.core.errors.IngestError` instead of serving garbage.
 """
 
@@ -89,7 +118,8 @@ import json
 import os
 import struct
 import threading
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -121,6 +151,8 @@ NODE_DTYPE = np.dtype(
 )
 
 OFFSET_DTYPE = np.dtype("<u8")
+PAGE_ID_DTYPE = np.dtype("<u4")
+WEIGHT_DTYPE = np.dtype("<f4")
 
 _TYPE_CODE = {NodeType.NONE: 0, NodeType.LIST: 1, NodeType.TABLE: 2}
 _TYPE_BY_CODE = {code: node_type for node_type, code in _TYPE_CODE.items()}
@@ -145,15 +177,44 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _publish_bytes(path: str, payload: bytes) -> None:
-    """Atomically publish ``payload`` at ``path`` (tmp → fsync → replace)."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path)
+def _pack_postings(
+    pages: "list[str]",
+    postings_by_page: "Mapping[str, Mapping[str, float]]",
+    offset: int,
+) -> "tuple[bytes, dict]":
+    """Serialize a postings section starting at file ``offset``.
+
+    Returns the section bytes and its manifest entry.  Page ids index
+    ``pages`` (the file's fingerprints, sorted), so each term's postings
+    come out in ascending page-id order.
+    """
+    by_term: "dict[str, tuple[list[int], list[float]]]" = {}
+    for page_id, fingerprint in enumerate(pages):
+        for term, weight in postings_by_page[fingerprint].items():
+            ids, weights = by_term.setdefault(term, ([], []))
+            ids.append(page_id)
+            weights.append(float(weight))
+    terms = sorted(by_term)
+    offsets = np.zeros(len(terms) + 1, dtype=OFFSET_DTYPE)
+    page_ids: "list[int]" = []
+    weights: "list[float]" = []
+    for i, term in enumerate(terms):
+        ids, term_weights = by_term[term]
+        page_ids.extend(ids)
+        weights.extend(term_weights)
+        offsets[i + 1] = len(page_ids)
+    page_id_bytes = np.array(page_ids, dtype=PAGE_ID_DTYPE).tobytes()
+    weight_bytes = np.array(weights, dtype=WEIGHT_DTYPE).tobytes()
+    sections = {
+        "page_ids": [offset, len(page_ids)],
+        "weights": [offset + len(page_id_bytes), len(weights)],
+        "offsets": [
+            offset + len(page_id_bytes) + len(weight_bytes),
+            len(terms) + 1,
+        ],
+    }
+    payload = page_id_bytes + weight_bytes + offsets.tobytes()
+    return payload, {"terms": terms, "sections": sections}
 
 
 class CorpusStoreWriter:
@@ -171,16 +232,31 @@ class CorpusStoreWriter:
 
     Pages stream straight to disk — the writer holds one page's planes
     at a time plus the (small) manifest, so corpus size is bounded by
-    disk, not RAM.
+    disk, not RAM.  An ``indexed`` writer (any writer given an ``idf``
+    state is one) must receive :meth:`add_postings` for every page it
+    holds before :meth:`finalize`; ``base`` is the base id recorded in
+    the manifest (see the module docstring).
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(
+        self,
+        path: str,
+        *,
+        base: int = 0,
+        indexed: bool = False,
+        idf: "Optional[dict]" = None,
+    ) -> None:
         self.path = os.fspath(path)
         self._tmp_path = self.path + ".tmp"
         self._file = open(self._tmp_path, "wb")
         self._file.write(_HEADER.pack(MAGIC, VERSION, 0))
         self._offset = _HEADER.size
         self._manifest: dict[str, dict] = {}
+        self._base = int(base)
+        self._idf = idf
+        self._postings: "Optional[dict[str, Mapping[str, float]]]" = (
+            {} if indexed or idf is not None else None
+        )
         self._closed = False
 
     def __enter__(self) -> "CorpusStoreWriter":
@@ -197,6 +273,11 @@ class CorpusStoreWriter:
 
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._manifest
+
+    def _append(self, fingerprint: str, entry: dict, block) -> None:
+        entry["offset"] = self._offset
+        self._offset += self._file.write(block)
+        self._manifest[fingerprint] = entry
 
     def add_page(
         self, fingerprint: str, page: WebPage, degraded: bool = False
@@ -234,28 +315,64 @@ class CorpusStoreWriter:
         # decodes with the same handler, so any str round-trips exactly.
         blob = "".join(index.texts).encode("utf-8", "surrogatepass")
         mask_bytes = (size + 7) // 8
-        write = self._file.write
-        written = write(plane.tobytes())
-        written += write(offsets.tobytes())
-        written += write(blob)
-        written += write(index.leaf_mask.to_bytes(mask_bytes, "little"))
-        written += write(index.elem_mask.to_bytes(mask_bytes, "little"))
-        self._manifest[fingerprint] = {
-            "url": page.url,
-            "degraded": bool(degraded),
-            "n": size,
-            "offset": self._offset,
-            "text_bytes": len(blob),
-        }
-        self._offset += written
+        block = b"".join(
+            (
+                plane.tobytes(),
+                offsets.tobytes(),
+                blob,
+                index.leaf_mask.to_bytes(mask_bytes, "little"),
+                index.elem_mask.to_bytes(mask_bytes, "little"),
+            )
+        )
+        entry = {"url": page.url, "degraded": bool(degraded), "n": size,
+                 "text_bytes": len(blob)}
+        self._append(fingerprint, entry, block)
         return True
 
+    def copy_page(self, source: "_StoreFile", fingerprint: str) -> None:
+        """Copy one page's block verbatim from another store file."""
+        entry = dict(source.pages[fingerprint])
+        start = entry["offset"]
+        length = _block_length(entry["n"], entry["text_bytes"])
+        self._append(fingerprint, entry, source.view[start : start + length])
+
+    def add_postings(
+        self, fingerprint: str, postings: "Mapping[str, float]"
+    ) -> None:
+        """Attach the term → weight postings of a page this file holds."""
+        if self._postings is None:
+            raise ValueError("postings need an indexed writer")
+        if fingerprint not in self._manifest:
+            raise KeyError(fingerprint)
+        self._postings[fingerprint] = postings
+
+    def pending_postings(self) -> "list[str]":
+        """Pages of an indexed writer still waiting for their postings."""
+        if self._postings is None:
+            return []
+        return [fp for fp in self._manifest if fp not in self._postings]
+
     def finalize(self) -> None:
-        """Write manifest + footer, fsync, and atomically publish."""
+        """Write postings + manifest + footer, fsync, publish atomically."""
         if self._closed:
             return
+        manifest: dict = {"pages": self._manifest, "base": self._base}
+        if self._postings is not None:
+            missing = self.pending_postings()
+            if missing:
+                self.abort()
+                raise ValueError(
+                    f"indexed store file {self.path!r}: {len(missing)} "
+                    "page(s) have no postings"
+                )
+            section, manifest["postings"] = _pack_postings(
+                sorted(self._manifest), self._postings, self._offset
+            )
+            self._offset += self._file.write(section)
+        if self._idf is not None:
+            manifest["idf"] = self._idf
         payload = json.dumps(
-            {"pages": self._manifest}, ensure_ascii=False, sort_keys=True
+            manifest, ensure_ascii=False, sort_keys=True
         ).encode("utf-8")
         self._file.write(payload)
         self._file.write(_FOOTER.pack(self._offset, len(payload), FOOTER_MAGIC))
@@ -287,10 +404,55 @@ def _block_length(size: int, text_bytes: int) -> int:
     )
 
 
+class _Postings:
+    """The validated postings section of one store file."""
+
+    __slots__ = ("pages", "terms", "term_index", "page_ids", "weights", "offsets")
+
+    def __init__(
+        self, raw: np.ndarray, pages: "list[str]", manifest: dict, end: int
+    ) -> None:
+        self.pages = pages
+        self.terms: "list[str]" = list(manifest["terms"])
+        sections = manifest["sections"]
+        self.page_ids = self._section(raw, sections, "page_ids", PAGE_ID_DTYPE, end)
+        self.weights = self._section(raw, sections, "weights", WEIGHT_DTYPE, end)
+        self.offsets = self._section(raw, sections, "offsets", OFFSET_DTYPE, end)
+        if len(self.offsets) != len(self.terms) + 1:
+            raise ValueError("offset table does not match term count")
+        if len(self.page_ids) != len(self.weights):
+            raise ValueError("postings arrays disagree in length")
+        if int(self.offsets[-1]) != len(self.page_ids) or np.any(
+            np.diff(self.offsets.astype(np.int64)) < 0
+        ):
+            raise ValueError("offset table is not a valid prefix sum")
+        if len(self.page_ids) and int(self.page_ids.max()) >= len(pages):
+            raise ValueError("posting page id out of range")
+        self.term_index = {term: i for i, term in enumerate(self.terms)}
+
+    @staticmethod
+    def _section(
+        raw: np.ndarray, sections: dict, name: str, dtype: np.dtype, end: int
+    ) -> np.ndarray:
+        offset, count = (int(value) for value in sections[name])
+        stop = offset + count * dtype.itemsize
+        if offset < _HEADER.size or count < 0 or stop > end:
+            raise ValueError(f"postings section {name!r} out of bounds")
+        return np.frombuffer(raw[offset:stop], dtype=dtype)
+
+    def lookup(self, term: str) -> "Optional[tuple[np.ndarray, np.ndarray]]":
+        """(page_ids, weights) slices for ``term``; None when absent."""
+        index = self.term_index.get(term)
+        if index is None:
+            return None
+        start, stop = int(self.offsets[index]), int(self.offsets[index + 1])
+        return self.page_ids[start:stop], self.weights[start:stop]
+
+
 class _StoreFile:
     """One validated, memmapped store-format file (base or segment)."""
 
-    __slots__ = ("path", "raw", "view", "pages")
+    __slots__ = ("path", "raw", "view", "pages", "base", "idf", "postings")
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
@@ -324,7 +486,13 @@ class _StoreFile:
                 .decode("utf-8")
             )
             pages = manifest["pages"]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            self.base = int(manifest.get("base", 0))
+            self.idf = manifest.get("idf")
+            postings = manifest.get("postings")
+            self.postings = None if postings is None else _Postings(
+                raw, sorted(pages), postings, manifest_offset
+            )
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise _corrupt(self.path, f"manifest unreadable: {exc}") from exc
         for fingerprint, entry in pages.items():
             try:
@@ -484,23 +652,86 @@ def _read_generation_manifest(path: str) -> dict:
     return manifest
 
 
-def _open_generation(
-    path: str,
-) -> "tuple[int, list[_StoreFile], dict[str, _StoreFile], set[str]]":
+def _publish_generation(
+    path: str, generation: int, segments: "list[str]", removed: "list[str]"
+) -> None:
+    """Swap in the ``.gen`` manifest of ``generation`` — the commit point
+    (tmp → fsync → replace → directory fsync)."""
+    manifest = {"format": GEN_FORMAT, "generation": generation,
+                "segments": segments, "removed": removed}
+    gen_path = _generation_path(path)
+    with open(gen_path + ".tmp", "wb") as handle:
+        handle.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(gen_path + ".tmp", gen_path)
+    _fsync_dir(gen_path)
+
+
+@dataclass(frozen=True, eq=False)
+class StoreSnapshot:
+    """One published generation of a store: files, routing, removals.
+
+    Built once per open or reload and never mutated, so a caller holding
+    a snapshot sees one consistent generation — page set, planes and
+    postings — however many reloads happen meanwhile.
+    """
+
+    generation: int
+    files: "list[_StoreFile]"
+    routing: "dict[str, _StoreFile]"
+    removed: "frozenset[str]"
+
+    @property
+    def indexed(self) -> bool:
+        """Whether this generation carries routing postings."""
+        return self.files[0].postings is not None
+
+    @property
+    def idf(self) -> "Optional[dict]":
+        """The base manifest's IDF state (``None`` when not indexed)."""
+        return self.files[0].idf
+
+    def fingerprints(self) -> Iterator[str]:
+        return iter(self.routing)
+
+    def entry(self, fingerprint: str) -> "Optional[dict]":
+        """The live manifest entry for ``fingerprint`` (url etc.), if any."""
+        store_file = self.routing.get(fingerprint)
+        if store_file is None:
+            return None
+        return store_file.pages[fingerprint]
+
+    def load(self, fingerprint: str) -> "tuple[WebPage, bool]":
+        return self.routing[fingerprint].load(fingerprint)
+
+
+def _open_generation(path: str) -> StoreSnapshot:
     """Open the current generation: base + referenced segments, composed."""
     manifest = _read_generation_manifest(path)
     directory = os.path.dirname(os.path.abspath(path))
-    files = [_StoreFile(path)]
+    base = _StoreFile(path)
+    files = [base]
     for name in manifest["segments"]:
-        files.append(_StoreFile(os.path.join(directory, name)))
-    removed = set(manifest["removed"])
+        segment = _StoreFile(os.path.join(directory, name))
+        if segment.base != base.base:
+            # Written against an older base: residue of a compaction
+            # that crashed before its manifest swap.  The new base holds
+            # every live page of this generation already.
+            continue
+        if (segment.postings is None) != (base.postings is None):
+            raise _corrupt(
+                segment.path, "postings section disagrees with the base's"
+            )
+        files.append(segment)
+    removed = frozenset(manifest["removed"])
     routing: dict[str, _StoreFile] = {}
     for store_file in files:  # later segments shadow earlier files
         for fingerprint in store_file.pages:
             routing[fingerprint] = store_file
     for fingerprint in removed:
         routing.pop(fingerprint, None)
-    return manifest["generation"], files, routing, removed
+    return StoreSnapshot(manifest["generation"], files, routing, removed)
 
 
 class CorpusStoreReader:
@@ -520,19 +751,7 @@ class CorpusStoreReader:
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
         self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
-
-    def _install(
-        self,
-        generation: int,
-        files: "list[_StoreFile]",
-        routing: "dict[str, _StoreFile]",
-        removed: "set[str]",
-    ) -> None:
-        self._generation = generation
-        self._files = files
-        self._pages = routing
-        self._removed = removed
+        self._snapshot = _open_generation(self.path)
 
     # -- pickling (reopen by path) ------------------------------------------
 
@@ -540,63 +759,63 @@ class CorpusStoreReader:
         return {"path": self.path}
 
     def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
+        self.__init__(state["path"])
 
     # -- generations ---------------------------------------------------------
 
+    def snapshot(self) -> StoreSnapshot:
+        """The generation this reader currently serves (immutable)."""
+        return self._snapshot
+
     @property
     def generation(self) -> int:
-        return self._generation
+        return self._snapshot.generation
 
     def reload(self) -> bool:
         """Re-open the newest published generation.
 
         Returns True when the visible page set (or generation number)
-        changed.  Pages already loaded are untouched: they hold their
-        own references to the old mappings, which ``os.replace`` and
-        ``unlink`` cannot disturb.  Safe to call concurrently with
-        :meth:`load` — lookups read the routing table exactly once.
+        changed.  Pages already loaded, and snapshots already handed
+        out, are untouched: they hold their own references to the old
+        mappings, which ``os.replace`` and ``unlink`` cannot disturb.
         """
         with self._lock:
-            generation, files, routing, removed = _open_generation(self.path)
-            changed = (
-                generation != self._generation
-                or routing.keys() != self._pages.keys()
+            snapshot = _open_generation(self.path)
+            previous = self._snapshot
+            self._snapshot = snapshot
+            return (
+                snapshot.generation != previous.generation
+                or snapshot.routing.keys() != previous.routing.keys()
             )
-            self._install(generation, files, routing, removed)
-            return changed
 
     # -- manifest queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self._snapshot.routing)
 
     def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._pages
+        return fingerprint in self._snapshot.routing
 
     def fingerprints(self) -> Iterator[str]:
-        return iter(self._pages)
+        return self._snapshot.fingerprints()
 
     def entry(self, fingerprint: str) -> "Optional[dict]":
         """The live manifest entry for ``fingerprint`` (url etc.), if any."""
-        store_file = self._pages.get(fingerprint)
-        if store_file is None:
-            return None
-        return store_file.pages[fingerprint]
+        return self._snapshot.entry(fingerprint)
 
     def stat(self) -> dict:
         """Aggregate shape of the store, for `repro corpus stat`."""
-        routing = self._pages
+        snapshot = self._snapshot
+        routing = snapshot.routing
         entries = [
             store_file.pages[fingerprint]
             for fingerprint, store_file in routing.items()
         ]
+        postings = [f.postings for f in snapshot.files if f.postings is not None]
         return {
             "path": self.path,
             "file_bytes": sum(
-                int(store_file.raw.size) for store_file in self._files
+                int(store_file.raw.size) for store_file in snapshot.files
             ),
             "pages": len(routing),
             "nodes": sum(entry["n"] for entry in entries),
@@ -604,23 +823,34 @@ class CorpusStoreReader:
             "degraded_pages": sum(
                 1 for entry in entries if entry["degraded"]
             ),
-            "generation": self._generation,
-            "segments": len(self._files) - 1,
-            "removed_pages": len(self._removed),
+            "generation": snapshot.generation,
+            "segments": len(snapshot.files) - 1,
+            "removed_pages": len(snapshot.removed),
+            "indexed": snapshot.indexed,
+            "terms": sum(len(p.terms) for p in postings),
+            "postings": sum(len(p.page_ids) for p in postings),
         }
 
     # -- page loads ----------------------------------------------------------
 
     def get(self, fingerprint: str) -> "Optional[tuple[WebPage, bool]]":
         """``(page, degraded)`` for ``fingerprint``, or None if absent."""
-        store_file = self._pages.get(fingerprint)
+        store_file = self._snapshot.routing.get(fingerprint)
         if store_file is None:
             return None
         return store_file.load(fingerprint)
 
-    def load(self, fingerprint: str) -> "tuple[WebPage, bool]":
-        """Rehydrate one page (with its index prebuilt) from the planes."""
-        return self._pages[fingerprint].load(fingerprint)
+    def load(
+        self, fingerprint: str, snapshot: "Optional[StoreSnapshot]" = None
+    ) -> "tuple[WebPage, bool]":
+        """Rehydrate one page (with its index prebuilt) from the planes.
+
+        ``snapshot`` pins the generation to load from (default: the
+        current one).
+        """
+        if snapshot is None:
+            snapshot = self._snapshot
+        return snapshot.load(fingerprint)
 
 
 class CorpusStoreUpdater:
@@ -641,6 +871,11 @@ class CorpusStoreUpdater:
     previous generation fully openable.  One updater commits one
     generation; the instance is closed afterwards.  Single writer at a
     time — concurrent updaters would race the generation counter.
+
+    On an indexed store every page written to the segment needs its
+    postings (:meth:`add_postings`, weighted with :attr:`idf`; see
+    :func:`repro.retrieval.index.update_corpus_index`) before the
+    segment can publish.
     """
 
     def __init__(self, path: str, *, create: bool = True) -> None:
@@ -649,13 +884,19 @@ class CorpusStoreUpdater:
             if not create:
                 raise _corrupt(self.path, "no store at path")
             CorpusStoreWriter(self.path).finalize()
-        self._reader = CorpusStoreReader(self.path)
-        self._base_generation = self._reader.generation
+        self._snapshot = _open_generation(self.path)
+        base = self._snapshot.files[0]
+        self._base_id = base.base
+        #: Whether segments must carry postings, and the base IDF state
+        #: they are weighted with.
+        self.indexed = base.postings is not None
+        self.idf = base.idf
+        self._base_generation = self._snapshot.generation
         self._segment_target = _segment_path(
             self.path, self._base_generation + 1
         )
         self._writer: "Optional[CorpusStoreWriter]" = None
-        self._removed = set(self._reader._removed)
+        self._removed = set(self._snapshot.removed)
         self._added: set[str] = set()
         self._restored: set[str] = set()
         self._segment_published = False
@@ -683,14 +924,17 @@ class CorpusStoreUpdater:
         """Whether any on-disk file already stores this fingerprint."""
         return any(
             fingerprint in store_file.pages
-            for store_file in self._reader._files
+            for store_file in self._snapshot.files
         )
+
+    def _in_segment(self, fingerprint: str) -> bool:
+        return self._writer is not None and fingerprint in self._writer
 
     def _dirty(self) -> bool:
         return bool(
             self._added
             or self._restored
-            or self._removed != self._reader._removed
+            or self._removed != self._snapshot.removed
         )
 
     def update(
@@ -707,19 +951,18 @@ class CorpusStoreUpdater:
         if fingerprint in self._added or fingerprint in self._restored:
             return False
         if fingerprint not in self._removed and (
-            fingerprint in self._reader or (
-                self._writer is not None and fingerprint in self._writer
-            )
+            fingerprint in self._snapshot.routing
+            or self._in_segment(fingerprint)
         ):
             return False
-        if self._has_bytes(fingerprint) or (
-            self._writer is not None and fingerprint in self._writer
-        ):
+        if self._has_bytes(fingerprint) or self._in_segment(fingerprint):
             self._restored.add(fingerprint)
             self._removed.discard(fingerprint)
             return True
         if self._writer is None:
-            self._writer = CorpusStoreWriter(self._segment_target)
+            self._writer = CorpusStoreWriter(
+                self._segment_target, base=self._base_id, indexed=self.indexed
+            )
         self._writer.add_page(fingerprint, page, degraded=degraded)
         self._added.add(fingerprint)
         self._removed.discard(fingerprint)
@@ -731,10 +974,7 @@ class CorpusStoreUpdater:
         staged = fingerprint in self._added or fingerprint in self._restored
         live = staged or (
             fingerprint not in self._removed
-            and (
-                self._has_bytes(fingerprint)
-                or (self._writer is not None and fingerprint in self._writer)
-            )
+            and (self._has_bytes(fingerprint) or self._in_segment(fingerprint))
         )
         if not live:
             return False
@@ -742,6 +982,21 @@ class CorpusStoreUpdater:
         self._restored.discard(fingerprint)
         self._removed.add(fingerprint)
         return True
+
+    def pending_postings(self) -> "list[str]":
+        """Pages written to the segment that still need their postings."""
+        if self._writer is None:
+            return []
+        return self._writer.pending_postings()
+
+    def add_postings(
+        self, fingerprint: str, postings: "Mapping[str, float]"
+    ) -> None:
+        """Stage the postings of a page written to this segment."""
+        self._check_open()
+        if not self._in_segment(fingerprint):
+            raise KeyError(fingerprint)
+        self._writer.add_postings(fingerprint, postings)  # type: ignore[union-attr]
 
     def publish_segment(self) -> None:
         """Step 1 of the publish: atomically rename the segment file."""
@@ -758,22 +1013,14 @@ class CorpusStoreUpdater:
     def publish_manifest(self) -> int:
         """Step 2 of the publish: atomically swap the ``.gen`` manifest."""
         self._check_open()
-        segments = list(self._reader._files[1:])
-        names = [os.path.basename(store_file.path) for store_file in segments]
+        names = [
+            os.path.basename(store_file.path)
+            for store_file in self._snapshot.files[1:]
+        ]
         if self._segment_published:
             names.append(os.path.basename(self._segment_target))
         generation = self._base_generation + 1
-        payload = json.dumps(
-            {
-                "format": GEN_FORMAT,
-                "generation": generation,
-                "segments": names,
-                "removed": sorted(self._removed),
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        ).encode("utf-8")
-        _publish_bytes(_generation_path(self.path), payload)
+        _publish_generation(self.path, generation, names, sorted(self._removed))
         self._closed = True
         return generation
 
@@ -849,61 +1096,46 @@ def collect_garbage(path: str) -> "list[str]":
     return deleted
 
 
-def compact_store(path: str) -> dict:
+def compact_store(path: str, reindex: "Optional[Callable]" = None) -> dict:
     """Fold all live pages into a fresh base and drop the segments.
 
     Publishes the result as the next generation (empty ``segments`` and
     ``removed``), then garbage-collects the stale files.  The base file
-    is replaced *before* the manifest swap: a crash between the two
-    leaves the old manifest over the new base, which still resolves
-    every live fingerprint to identical bytes (content addressing) and
-    hides every removed one (they are simply absent from the new base).
+    is replaced *before* the manifest swap; the base id it records makes
+    a crash between the two safe (see the module docstring).
+
+    An indexed store is compacted only together with a ``reindex``
+    callback, ``reindex(snapshot) -> (idf_state, postings by
+    fingerprint)`` over every live page — compaction is where the IDF is
+    refit, so the new base's postings must come from the new fit
+    (:func:`repro.retrieval.index.build_corpus_index` supplies it).
+    ``reindex`` also indexes a store that had no postings.
     """
     path = os.fspath(path)
-    reader = CorpusStoreReader(path)
-    tmp = path + ".tmp"
-    manifest_pages: dict[str, dict] = {}
-    with open(tmp, "wb") as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, 0))
-        offset = _HEADER.size
-        for fingerprint, store_file in reader._pages.items():
-            entry = store_file.pages[fingerprint]
-            length = _block_length(entry["n"], entry["text_bytes"])
-            handle.write(
-                store_file.view[entry["offset"] : entry["offset"] + length]
-            )
-            moved = dict(entry)
-            moved["offset"] = offset
-            manifest_pages[fingerprint] = moved
-            offset += length
-        payload = json.dumps(
-            {"pages": manifest_pages}, ensure_ascii=False, sort_keys=True
-        ).encode("utf-8")
-        handle.write(payload)
-        handle.write(_FOOTER.pack(offset, len(payload), FOOTER_MAGIC))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path)
-    generation = reader.generation + 1
-    _publish_bytes(
-        _generation_path(path),
-        json.dumps(
-            {
-                "format": GEN_FORMAT,
-                "generation": generation,
-                "segments": [],
-                "removed": [],
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        ).encode("utf-8"),
-    )
+    snapshot = _open_generation(path)
+    if reindex is None and snapshot.indexed:
+        raise ValueError(
+            f"corpus store {path!r} is indexed: compact it with "
+            "repro.retrieval.index.build_corpus_index, which refits the IDF"
+        )
+    idf, postings = reindex(snapshot) if reindex is not None else (None, None)
+    generation = snapshot.generation + 1
+    writer = CorpusStoreWriter(path, base=generation, idf=idf)
+    try:
+        for fingerprint, store_file in snapshot.routing.items():
+            writer.copy_page(store_file, fingerprint)
+            if postings is not None:
+                writer.add_postings(fingerprint, postings[fingerprint])
+    except BaseException:
+        writer.abort()
+        raise
+    writer.finalize()
+    _publish_generation(path, generation, [], [])
     collected = collect_garbage(path)
     return {
         "path": path,
         "generation": generation,
-        "pages": len(manifest_pages),
+        "pages": len(snapshot.routing),
         "file_bytes": os.path.getsize(path),
         "collected": collected,
     }
@@ -912,15 +1144,3 @@ def compact_store(path: str) -> dict:
 def open_store(path: str) -> CorpusStoreReader:
     """Open an existing corpus store (validating its structure)."""
     return CorpusStoreReader(path)
-
-
-# Public aliases of the publish/generation primitives, shared with the
-# inverted-index sidecar (``repro.retrieval.index``) which replicates
-# this module's crash-safety discipline — atomic tmp→fsync→replace
-# publishes and an append-only ``.gen`` segment manifest — over its own
-# postings file format.  One implementation, one set of invariants.
-publish_bytes = _publish_bytes
-fsync_dir = _fsync_dir
-generation_path = _generation_path
-segment_path = _segment_path
-read_generation_manifest = _read_generation_manifest

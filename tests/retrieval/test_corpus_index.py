@@ -1,15 +1,15 @@
-"""Inverted-index format, generational updates, and crash safety.
+"""Inverted-index postings inside the corpus store: format and updates.
 
-The index is a sidecar of the corpus store and inherits its byte
-discipline: atomic single-file publishes, append-only segments made
-visible by a manifest swap, loud failure on corrupted *published* state.
-This suite pins the format round-trip (postings read back equal the
-shared :func:`page_postings` weighting of the page text), the
-generational update protocol (changed pages shadow, removals mask,
-removal-only updates advance the manifest without a segment file, stale
-indexes fail closed), and the crash sweep — a torn byte at any point of
-the segment/manifest write sequence leaves the previous index
-generation fully openable.
+The postings are sections of the store's own files, published by the
+store's one manifest swap.  This suite pins the format round-trip
+(postings read back equal the shared :func:`page_postings` weighting of
+the page text), the generational update protocol (changed pages shadow,
+removals mask, removal-only updates advance the manifest without a
+segment file, an update cannot publish pages without their postings),
+the IDF rule (segments weight with the base IDF; compaction refits it)
+and loud failure on corrupted postings.  The byte-boundary crash sweep
+over an indexed store lives with the store's own sweep in
+``tests/webtree/test_store.py``.
 """
 
 import pickle
@@ -19,9 +19,7 @@ import pytest
 from repro.core.errors import IngestError
 from repro.nlp.vocab import IdfModel
 from repro.retrieval.index import (
-    CorpusIndexReader,
     build_corpus_index,
-    index_path,
     open_corpus_index,
     page_postings,
     page_text,
@@ -67,21 +65,22 @@ def _build(tmp_path, docs=DOCS):
 class TestBuildAndRead:
     def test_build_stat_and_page_set(self, tmp_path):
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         store = open_store(path)
-        assert len(reader) == len(DOCS)
-        assert sorted(reader.fingerprints()) == sorted(store.fingerprints())
-        stat = reader.stat()
+        assert len(reader.store) == len(DOCS)
+        assert sorted(reader.store.fingerprints()) == sorted(store.fingerprints())
+        stat = reader.store.stat()
         assert stat["pages"] == len(DOCS)
-        assert stat["generation"] == 0
-        assert stat["store_generation"] == store.generation
+        # Indexing compacts: one store generation past the plain build.
+        assert stat["generation"] == store.generation == 1
+        assert stat["indexed"] is True
         assert stat["segments"] == 0
         assert stat["removed_pages"] == 0
         assert stat["terms"] > 0 and stat["postings"] >= stat["terms"]
 
     def test_postings_round_trip_the_shared_weighting(self, tmp_path):
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         store = open_store(path)
         idf = reader.idf()
         for fingerprint in store.fingerprints():
@@ -94,7 +93,7 @@ class TestBuildAndRead:
         # A fresh build fits the IdfModel exactly the way the no-index
         # exhaustive scan does: store pages in sorted-fingerprint order.
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         store = open_store(path)
         scan_fit = IdfModel.fit(
             page_text(store.load(fp)[0]) for fp in sorted(store.fingerprints())
@@ -103,7 +102,7 @@ class TestBuildAndRead:
 
     def test_score_and_route_match_exhaustive_scan(self, tmp_path):
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         store = open_store(path)
         for question in (
             "Who is the PhD student working on compiler verification?",
@@ -114,19 +113,23 @@ class TestBuildAndRead:
             scanned = scan_scores(store, reader.idf(), query)
             assert reader.score(query) == scanned
             for top_k in (0, 1, 2, None):
-                assert reader.route(query, top_k) == cut_top_k(scanned, top_k)
+                assert cut_top_k(reader.score(query), top_k) == cut_top_k(
+                    scanned, top_k
+                )
 
     def test_unknown_terms_score_nothing(self, tmp_path):
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         assert reader.score({"zzzunseenzzz": 1.0}) == []
 
     def test_reader_pickles_at_current_generation(self, tmp_path):
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         clone = pickle.loads(pickle.dumps(reader))
-        assert clone.generation == reader.generation
-        assert sorted(clone.fingerprints()) == sorted(reader.fingerprints())
+        assert clone.store.generation == reader.store.generation
+        assert sorted(clone.store.fingerprints()) == sorted(
+            reader.store.fingerprints()
+        )
 
 
 class TestGenerationalUpdates:
@@ -134,35 +137,30 @@ class TestGenerationalUpdates:
         path = _build(tmp_path)
         old_fp = page_fingerprint(DOCS[0][0], DOCS[0][1])
         report = update_corpus_store(path, [(CHANGED_HTML, DOCS[0][1])])
-        assert report["index"]["generation"] == 1
+        assert report["generation"] == 2
+        assert report["indexed"] is True
         store = open_store(path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         new_fp = page_fingerprint(CHANGED_HTML, DOCS[0][1])
-        assert new_fp in reader and old_fp not in reader
-        assert reader.store_generation == store.generation
-        reader.ensure_fresh(store)  # must not raise
+        assert new_fp in reader.store and old_fp not in reader.store
         # The segment's postings use the *base* generation's IdfModel.
         page, _ = store.load(new_fp)
         assert reader.postings_for(new_fp) == page_postings(
             page_text(page), reader.idf()
         )
-        assert reader.stat()["segments"] == 1
+        assert reader.store.stat()["segments"] == 1
 
     def test_removal_only_update_is_manifest_only(self, tmp_path):
         path = _build(tmp_path)
         fp = page_fingerprint(DOCS[2][0], DOCS[2][1])
         report = update_corpus_store(path, [], remove_urls=(DOCS[2][1],))
-        assert report["index"]["generation"] == 1
-        reader = open_corpus_index(index_path(path))
-        store = open_store(path)
-        assert fp not in reader
-        assert len(reader) == len(DOCS) - 1
-        # No new index segment was written — the manifest alone advanced,
-        # and it still records the new store generation.
-        assert reader.stat()["segments"] == 0
-        assert reader.stat()["removed_pages"] == 1
-        assert reader.store_generation == store.generation
-        reader.ensure_fresh(store)
+        assert report["generation"] == 2
+        reader = open_corpus_index(path)
+        assert fp not in reader.store
+        assert len(reader.store) == len(DOCS) - 1
+        # No new segment was written — the manifest alone advanced.
+        assert reader.store.stat()["segments"] == 0
+        assert reader.store.stat()["removed_pages"] == 1
         # The removed page no longer routes.
         query = query_terms("clinic hours physical therapy Tuesday")
         assert fp not in dict(reader.score(query))
@@ -170,30 +168,39 @@ class TestGenerationalUpdates:
     def test_update_without_index_is_a_noop(self, tmp_path):
         path = str(tmp_path / "bare.rpw")
         build_corpus_store(DOCS, path)
-        assert update_corpus_index(path, changed=("anything",)) is None
+        report = update_corpus_store(path, [(CHANGED_HTML, DOCS[0][1])])
+        assert report["generation"] == 1
+        assert report["indexed"] is False and report["terms"] == 0
+        with CorpusStoreUpdater(path) as updater:
+            page = ingest_html(DOCS[0][0], url="https://t/again")
+            updater.update("fp-again", page)
+            assert update_corpus_index(updater, {"fp-again": page}) == 0
+        with pytest.raises(IngestError, match="repro corpus index"):
+            open_corpus_index(path)
 
-    def test_stale_index_fails_closed_with_repair_hint(self, tmp_path):
-        # A store generation the index never saw (the crash window
-        # between store publish and index publish) must refuse to route,
-        # pointing at the rebuild command — never silently serve a
-        # routed answer the exhaustive scan would contradict.
+    def test_segment_without_postings_cannot_publish(self, tmp_path):
+        # The index cannot fall behind the store: an update that skips
+        # the postings of a page it writes fails before its segment is
+        # published, and the store stays at its generation.
         path = _build(tmp_path)
         page = ingest_html(CHANGED_HTML, url=DOCS[0][1])
-        with CorpusStoreUpdater(path) as updater:
-            updater.update(page_fingerprint(CHANGED_HTML, DOCS[0][1]), page)
+        fingerprint = page_fingerprint(CHANGED_HTML, DOCS[0][1])
+        with pytest.raises(ValueError, match="no postings"):
+            with CorpusStoreUpdater(path) as updater:
+                updater.update(fingerprint, page)
         store = open_store(path)
-        reader = open_corpus_index(index_path(path))
-        with pytest.raises(IngestError, match="repro corpus index"):
-            reader.ensure_fresh(store)
+        assert store.generation == 1 and fingerprint not in store
+        assert not (tmp_path / "corpus.rpw.seg-2").exists()
+        assert not (tmp_path / "corpus.rpw.seg-2.tmp").exists()
 
     def test_reload_picks_up_published_generations(self, tmp_path):
         path = _build(tmp_path)
-        reader = open_corpus_index(index_path(path))
+        reader = open_corpus_index(path)
         assert reader.reload() is False
         update_corpus_store(path, [(CHANGED_HTML, DOCS[0][1])])
         assert reader.reload() is True
-        assert reader.generation == 1
-        assert page_fingerprint(CHANGED_HTML, DOCS[0][1]) in reader
+        assert reader.store.generation == 2
+        assert page_fingerprint(CHANGED_HTML, DOCS[0][1]) in reader.store
 
     def test_rebuild_compacts_and_refits(self, tmp_path):
         path = _build(tmp_path)
@@ -202,10 +209,10 @@ class TestGenerationalUpdates:
         stat = build_corpus_index(path)
         assert stat["rebuilt"] is True
         assert stat["segments"] == 0 and stat["removed_pages"] == 0
-        assert stat["generation"] == 3  # past both published updates
-        reader = open_corpus_index(index_path(path))
+        assert stat["generation"] == 4  # past the build and both updates
+        reader = open_corpus_index(path)
         store = open_store(path)
-        assert sorted(reader.fingerprints()) == sorted(store.fingerprints())
+        assert sorted(reader.store.fingerprints()) == sorted(store.fingerprints())
         # The rebuild refit the IdfModel over the *current* corpus.
         scan_fit = IdfModel.fit(
             page_text(store.load(fp)[0]) for fp in sorted(store.fingerprints())
@@ -217,133 +224,83 @@ class TestGenerationalUpdates:
         report = update_corpus_store(
             path, [(CHANGED_HTML, DOCS[0][1])], compact=True
         )
-        assert report["index"]["rebuilt"] is True
-        reader = open_corpus_index(index_path(path))
+        assert report["generation"] == 3  # build, update, compaction
+        assert report["indexed"] is True and report["segments"] == 0
+        # Compacting an indexed store refits the IDF over its live pages.
+        reader = open_corpus_index(path)
         store = open_store(path)
-        assert reader.store_generation == store.generation
-        assert reader.stat()["segments"] == 0
+        scan_fit = IdfModel.fit(
+            page_text(store.load(fp)[0]) for fp in sorted(store.fingerprints())
+        )
+        assert reader.idf().to_dict() == scan_fit.to_dict()
 
 
 class TestCorruption:
     def test_truncated_base_raises_ingest_error(self, tmp_path):
         path = _build(tmp_path)
-        idx = tmp_path / "corpus.rpw.idx"
-        payload = idx.read_bytes()
+        base = tmp_path / "corpus.rpw"
+        payload = base.read_bytes()
         for keep in (0, 4, len(payload) // 2, len(payload) - 1):
-            idx.write_bytes(payload[:keep])
+            base.write_bytes(payload[:keep])
             with pytest.raises(IngestError):
-                open_corpus_index(str(idx))
+                open_corpus_index(path)
 
     def test_corrupt_magic_raises_ingest_error(self, tmp_path):
         path = _build(tmp_path)
-        idx = tmp_path / "corpus.rpw.idx"
-        payload = bytearray(idx.read_bytes())
+        base = tmp_path / "corpus.rpw"
+        payload = bytearray(base.read_bytes())
         payload[0] ^= 0xFF
-        idx.write_bytes(bytes(payload))
+        base.write_bytes(bytes(payload))
         with pytest.raises(IngestError):
-            open_corpus_index(str(idx))
+            open_corpus_index(path)
 
     def test_corrupt_footer_raises_ingest_error(self, tmp_path):
         path = _build(tmp_path)
-        idx = tmp_path / "corpus.rpw.idx"
-        payload = bytearray(idx.read_bytes())
+        base = tmp_path / "corpus.rpw"
+        payload = bytearray(base.read_bytes())
         payload[-3] ^= 0xFF
-        idx.write_bytes(bytes(payload))
+        base.write_bytes(bytes(payload))
         with pytest.raises(IngestError):
-            open_corpus_index(str(idx))
+            open_corpus_index(path)
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [("offsets", [16, 10**9]), ("page_ids", [3, 5]), ("weights", [-8, 1])],
+    )
+    def test_out_of_bounds_postings_section_raises(self, tmp_path, section,
+                                                    value):
+        path = _build(tmp_path)
+        _rewrite_manifest(
+            tmp_path / "corpus.rpw",
+            lambda manifest: manifest["postings"]["sections"].__setitem__(
+                section, value
+            ),
+        )
+        with pytest.raises(IngestError, match="unreadable"):
+            open_corpus_index(path)
 
-class TestCrashSafety:
-    """The torn-postings-byte sweep, mirroring the store's crash suite.
-
-    One committed incremental update is materialized once; then the
-    exact index-directory state at every byte boundary of the segment
-    and manifest writes (and both rename seams) is reconstructed, and
-    each must open at the previous index generation with the previous
-    page set — never an IngestError on unpublished residue.
-    """
-
-    def _materialize(self, tmp_path):
-        scratch = tmp_path / "scratch"
-        scratch.mkdir()
-        path = str(scratch / "c.rpw")
-        build_corpus_store(DOCS[:2], path)
-        build_corpus_index(path)
-        base = (scratch / "c.rpw.idx").read_bytes()
-        self.old_fp = page_fingerprint(DOCS[0][0], DOCS[0][1])
+    def test_segment_postings_must_match_the_base(self, tmp_path):
+        # An indexed base with a segment lacking postings is corruption.
+        path = _build(tmp_path)
         update_corpus_store(path, [(CHANGED_HTML, DOCS[0][1])])
-        self.new_fp = page_fingerprint(CHANGED_HTML, DOCS[0][1])
-        segment = (scratch / "c.rpw.idx.seg-1").read_bytes()
-        manifest = (scratch / "c.rpw.idx.gen").read_bytes()
-        return base, segment, manifest
-
-    def _open_state(self, tmp_path, name, files):
-        state_dir = tmp_path / name
-        state_dir.mkdir()
-        for filename, payload in files.items():
-            (state_dir / filename).write_bytes(payload)
-        return open_corpus_index(str(state_dir / "c.rpw.idx"))
-
-    def _assert_previous_generation(self, reader):
-        assert reader.generation == 0
-        assert self.old_fp in reader
-        assert self.new_fp not in reader
-
-    def test_every_byte_boundary_reopens_previous_generation(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
-        states = []
-        for keep in range(len(segment) + 1):
-            states.append({"c.rpw.idx": base,
-                           "c.rpw.idx.seg-1.tmp": segment[:keep]})
-        states.append({"c.rpw.idx": base, "c.rpw.idx.seg-1": segment})
-        for keep in range(len(manifest) + 1):
-            states.append({"c.rpw.idx": base, "c.rpw.idx.seg-1": segment,
-                           "c.rpw.idx.gen.tmp": manifest[:keep]})
-        for index, files in enumerate(states):
-            reader = self._open_state(tmp_path, f"state{index}", files)
-            self._assert_previous_generation(reader)
-        committed = self._open_state(
-            tmp_path, "committed",
-            {"c.rpw.idx": base, "c.rpw.idx.seg-1": segment,
-             "c.rpw.idx.gen": manifest},
+        _rewrite_manifest(
+            tmp_path / "corpus.rpw.seg-2",
+            lambda manifest: manifest.pop("postings"),
         )
-        assert committed.generation == 1
-        assert self.new_fp in committed
-        assert self.old_fp not in committed
+        with pytest.raises(IngestError, match="postings section"):
+            open_store(path)
 
-    def test_bit_flipped_tmp_files_are_ignored(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
-        rng = __import__("random").Random("idx-bitflip-sweep")
-        for trial in range(24):
-            torn_segment = bytearray(segment)
-            torn_manifest = bytearray(manifest)
-            torn_segment[rng.randrange(len(segment))] ^= 1 << rng.randrange(8)
-            torn_manifest[rng.randrange(len(manifest))] ^= 1 << rng.randrange(8)
-            reader = self._open_state(
-                tmp_path, f"flip{trial}",
-                {"c.rpw.idx": base,
-                 "c.rpw.idx.seg-1.tmp": bytes(torn_segment),
-                 "c.rpw.idx.gen.tmp": bytes(torn_manifest)},
-            )
-            self._assert_previous_generation(reader)
 
-    def test_published_manifest_without_segment_fails_loudly(self, tmp_path):
-        base, _segment, manifest = self._materialize(tmp_path)
-        state_dir = tmp_path / "missing-segment"
-        state_dir.mkdir()
-        (state_dir / "c.rpw.idx").write_bytes(base)
-        (state_dir / "c.rpw.idx.gen").write_bytes(manifest)
-        with pytest.raises(IngestError):
-            open_corpus_index(str(state_dir / "c.rpw.idx"))
+def _rewrite_manifest(path, edit):
+    """Re-encode a store file's JSON manifest after ``edit(manifest)``."""
+    import json
+    import struct
 
-    def test_truncated_published_segment_fails_loudly(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
-        state_dir = tmp_path / "torn-published-segment"
-        state_dir.mkdir()
-        (state_dir / "c.rpw.idx").write_bytes(base)
-        (state_dir / "c.rpw.idx.seg-1").write_bytes(
-            segment[: len(segment) // 2]
-        )
-        (state_dir / "c.rpw.idx.gen").write_bytes(manifest)
-        with pytest.raises(IngestError):
-            open_corpus_index(str(state_dir / "c.rpw.idx"))
+    payload = path.read_bytes()
+    offset, length, magic = struct.unpack("<QQ8s", payload[-24:])
+    manifest = json.loads(payload[offset:offset + length])
+    edit(manifest)
+    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        payload[:offset] + encoded + struct.pack("<QQ8s", offset, len(encoded), magic)
+    )

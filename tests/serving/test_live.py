@@ -452,3 +452,231 @@ class TestLiveDifferential:
             fresh_answers = fresh.ask_many(requests)
 
         assert live_answers == fresh_answers
+
+
+# -- indexed corpus: one generation for pages and postings ---------------------
+
+#: One route per domain, fitted lean: these tests pin serving-path
+#: equality under churn, not extraction quality.
+ROUTES = ("fac_t1", "class_t1", "clinic_t1", "conf_t1")
+TOP_K = 8
+
+
+def _same_answer(a, b):
+    left, right = a.as_dict(), b.as_dict()
+    left.pop("routed")
+    right.pop("routed")
+    return left == right
+
+
+@pytest.fixture(scope="module")
+def routing_tools():
+    from repro.dataset.corpus import load_task_dataset
+
+    tools = {}
+    for route in ROUTES:
+        task = TASKS_BY_ID[route]
+        dataset = load_task_dataset(
+            task, n_pages=4, n_train=2, seed=0, use_label_suggestions=False
+        )
+        tools[route] = WebQA(ensemble_size=12).fit(
+            task.question, task.keywords, list(dataset.train),
+            list(dataset.test_pages), dataset.models,
+        )
+    return tools
+
+
+class _IndexedCorpus:
+    """An indexed store over 4 domains × 6 pages, and its documents."""
+
+    def __init__(self, tmp_path, name="live.rpw"):
+        from repro.dataset.corpus import DOMAINS
+
+        self.directory = tmp_path
+        self.path = str(tmp_path / name)
+        #: url -> (domain, html): the live document set.
+        self.docs = {}
+        for domain in DOMAINS:
+            for seed in range(6):
+                generated = generate_page(domain, seed)
+                self.docs[generated.page.url] = (domain, generated.html)
+        self._build(self.path)
+
+    def _build(self, path):
+        from repro.retrieval.index import build_corpus_index
+        from repro.serving.corpus import build_corpus_store
+
+        build_corpus_store(
+            ((html, url) for url, (_domain, html) in sorted(self.docs.items())),
+            path,
+        )
+        build_corpus_index(path)
+
+    def changed_page(self, url, seed):
+        """A regenerated page for ``url``'s domain, recorded as live."""
+        domain = self.docs[url][0]
+        html = generate_page(domain, 9000 + seed).html
+        self.docs[url] = (domain, html)
+        return html
+
+    def fresh_answers(self, tools):
+        """Routed answers of a store and index rebuilt from scratch."""
+        path = str(self.directory / "fresh.rpw")
+        self._build(path)
+        with QAService(jobs=1, store=path) as fresh:
+            for route in ROUTES:
+                fresh.register(route, tools[route])
+            return {
+                route: fresh.ask_corpus(route, top_k=TOP_K) for route in ROUTES
+            }
+
+
+def _assert_routes_agree(front, corpus, tools):
+    """Compact, then routed ≡ exhaustive ≡ fresh rebuild on every route."""
+    fresh = corpus.fresh_answers(tools)
+    for route in ROUTES:
+        routed = front.ask_corpus(route, top_k=TOP_K)
+        exhaustive = front.ask_corpus(route, top_k=TOP_K, exhaustive=True)
+        assert routed.routed and not exhaustive.routed
+        assert _same_answer(routed, exhaustive), route
+        assert _same_answer(routed, fresh[route]), route
+
+
+class TestIndexedLiveCorpus:
+    def test_reload_between_scoring_and_loading(self, tmp_path,
+                                                routing_tools, monkeypatch):
+        # A feed that replaces a candidate page lands between the score
+        # and the page loads of one ask.  The ask must still answer from
+        # the generation it scored: same candidates, same pages, same
+        # urls — not a KeyError on the superseded fingerprint.
+        from repro.retrieval.index import CorpusIndexReader
+
+        corpus = _IndexedCorpus(tmp_path)
+        with QAService(jobs=1, store=corpus.path) as service:
+            service.register("fac_t1", routing_tools["fac_t1"])
+            live = LiveCorpus(service)
+            before = service.ask_corpus("fac_t1", top_k=TOP_K)
+            assert before.ok
+            score = CorpusIndexReader.score
+            reports = []
+
+            def score_then_feed(self, *args, **kwargs):
+                scored = score(self, *args, **kwargs)
+                if not reports:
+                    html = corpus.changed_page(before.url, seed=0)
+                    reports.append(live.feed(html, before.url))
+                return scored
+
+            monkeypatch.setattr(CorpusIndexReader, "score", score_then_feed)
+            during = service.ask_corpus("fac_t1", top_k=TOP_K)
+            monkeypatch.setattr(CorpusIndexReader, "score", score)
+            (report,) = reports
+            assert report.previous_fingerprint == before.fingerprint
+            assert during == before
+            after = service.ask_corpus("fac_t1", top_k=TOP_K)
+            assert before.fingerprint not in dict(after.candidates)
+
+    @pytest.mark.parametrize("front", ["service", "gateway"])
+    def test_concurrent_feeder_never_fails_an_ask(self, tmp_path,
+                                                  routing_tools, front):
+        # One feeder thread publishes >= 30 generations while two asking
+        # threads route questions against the same store: no ask may
+        # fail, and afterwards every route agrees with the exhaustive
+        # scan and with a fresh rebuild.
+        import random
+        import sys
+        import threading
+
+        from repro.serving.gateway import ServingGateway
+
+        feeds = 32
+        corpus = _IndexedCorpus(tmp_path)
+        target = (
+            QAService(jobs=1, store=corpus.path) if front == "service"
+            else ServingGateway(shards=2, store=corpus.path)
+        )
+        try:
+            for route in ROUTES:
+                target.register(route, routing_tools[route])
+            live = LiveCorpus(target)
+            urls = sorted(corpus.docs)
+            rng = random.Random("concurrent-feeder")
+            feeding = threading.Event()
+            feeding.set()
+            failures, asks = [], []
+
+            def feeder():
+                try:
+                    for index in range(feeds):
+                        url = urls[rng.randrange(len(urls))]
+                        live.feed(corpus.changed_page(url, index), url)
+                except Exception as exc:  # noqa: BLE001 — reported below
+                    failures.append(("feed", exc))
+                finally:
+                    feeding.clear()
+
+            def asker(offset):
+                turn = offset
+                while feeding.is_set():
+                    route = ROUTES[turn % len(ROUTES)]
+                    turn += 1
+                    try:
+                        answer = target.ask_corpus(route, top_k=TOP_K)
+                    except Exception as exc:  # noqa: BLE001
+                        failures.append((route, exc))
+                    else:
+                        asks.append(answer.ok)
+
+            threads = [threading.Thread(target=feeder)] + [
+                threading.Thread(target=asker, args=(k,)) for k in range(2)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert len(asks) >= 2
+            assert target.store.generation == 1 + feeds
+            live.compact()
+            _assert_routes_agree(target, corpus, routing_tools)
+        finally:
+            target.close()
+
+    def test_idf_rule(self, tmp_path, routing_tools):
+        # Between compactions segments score with the base IDF and the
+        # exhaustive scan borrows it: routed ≡ exhaustive bit for bit.
+        # Compaction refits the IDF: routed ≡ a fresh rebuild.
+        from repro.nlp.vocab import IdfModel
+        from repro.retrieval.index import page_text
+
+        corpus = _IndexedCorpus(tmp_path)
+        with QAService(jobs=1, store=corpus.path) as service:
+            for route in ROUTES:
+                service.register(route, routing_tools[route])
+            live = LiveCorpus(service)
+            base_idf = service.index.idf().to_dict()
+            for index, url in enumerate(sorted(corpus.docs)[::3]):
+                live.feed(corpus.changed_page(url, 100 + index), url)
+            assert service.store.stat()["segments"] == 8
+            assert service.index.idf().to_dict() == base_idf
+            store = service.store
+            live_fit = IdfModel.fit(
+                page_text(store.load(fp)[0])
+                for fp in sorted(store.fingerprints())
+            )
+            assert live_fit.to_dict() != base_idf  # the drift is real
+            for route in ROUTES:
+                assert _same_answer(
+                    service.ask_corpus(route, top_k=TOP_K),
+                    service.ask_corpus(route, top_k=TOP_K, exhaustive=True),
+                )
+            live.compact()
+            assert service.store.stat()["segments"] == 0
+            assert service.index.idf().to_dict() == live_fit.to_dict()
+            _assert_routes_agree(service, corpus, routing_tools)

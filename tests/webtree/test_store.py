@@ -427,8 +427,16 @@ class TestGenerationCrashSafety:
     pages — never an IngestError on the published path.
     """
 
+    previous_generation = 0
+
     def _materialize(self, tmp_path):
-        """Build one committed update; return (base, segment, manifest) bytes."""
+        """Build one committed update.
+
+        Returns ``(before, segment, manifest)``: the published files of
+        the previous generation, and the bytes of the update's segment
+        and ``.gen`` manifest.  Sets ``self.segment`` to the segment's
+        file name.
+        """
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         path = str(scratch / "pages.rpw")
@@ -436,13 +444,22 @@ class TestGenerationCrashSafety:
         self.new_page = _page("new")
         with CorpusStoreWriter(path) as writer:
             writer.add_page("fp-old", self.old_page)
-        base = (scratch / "pages.rpw").read_bytes()
+        self._prepare(path)
+        before = {p.name: p.read_bytes() for p in scratch.iterdir()}
         with CorpusStoreUpdater(path) as updater:
             updater.remove("fp-old")
             updater.update("fp-new", self.new_page)
-        segment = (scratch / "pages.rpw.seg-1").read_bytes()
+            self._stage_postings(updater)
+        self.segment = f"pages.rpw.seg-{self.previous_generation + 1}"
+        segment = (scratch / self.segment).read_bytes()
         manifest = (scratch / "pages.rpw.gen").read_bytes()
-        return base, segment, manifest
+        return before, segment, manifest
+
+    def _prepare(self, path):
+        """Hook: turn the freshly written base into the previous generation."""
+
+    def _stage_postings(self, updater):
+        """Hook: stage whatever else the update publishes."""
 
     def _open_state(self, tmp_path, name, files):
         state_dir = tmp_path / name
@@ -452,25 +469,30 @@ class TestGenerationCrashSafety:
         return open_store(str(state_dir / "pages.rpw"))
 
     def _assert_previous_generation(self, reader):
-        assert reader.generation == 0
+        assert reader.generation == self.previous_generation
         assert "fp-old" in reader
         assert "fp-new" not in reader
         loaded, _ = reader.load("fp-old")
         assert_page_equal(loaded, self.old_page)
 
+    def _assert_committed(self, reader):
+        assert reader.generation == self.previous_generation + 1
+        assert "fp-old" not in reader
+        loaded, _ = reader.load("fp-new")
+        assert_page_equal(loaded, self.new_page)
+
     def test_every_byte_boundary_reopens_previous_generation(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
+        before, segment, manifest = self._materialize(tmp_path)
         states = []
         # Crash mid-segment-write: every prefix of the segment tmp.
         for keep in range(len(segment) + 1):
-            states.append({"pages.rpw": base,
-                           "pages.rpw.seg-1.tmp": segment[:keep]})
+            states.append({**before, self.segment + ".tmp": segment[:keep]})
         # Crash between segment rename and manifest write: the segment
         # is durable but unreferenced.
-        states.append({"pages.rpw": base, "pages.rpw.seg-1": segment})
+        states.append({**before, self.segment: segment})
         # Crash mid-manifest-write: every prefix of the manifest tmp.
         for keep in range(len(manifest) + 1):
-            states.append({"pages.rpw": base, "pages.rpw.seg-1": segment,
+            states.append({**before, self.segment: segment,
                            "pages.rpw.gen.tmp": manifest[:keep]})
         for index, files in enumerate(states):
             reader = self._open_state(tmp_path, f"state{index}", files)
@@ -478,16 +500,12 @@ class TestGenerationCrashSafety:
         # And the state *after* the final rename serves the update.
         committed = self._open_state(
             tmp_path, "committed",
-            {"pages.rpw": base, "pages.rpw.seg-1": segment,
-             "pages.rpw.gen": manifest},
+            {**before, self.segment: segment, "pages.rpw.gen": manifest},
         )
-        assert committed.generation == 1
-        assert "fp-old" not in committed
-        loaded, _ = committed.load("fp-new")
-        assert_page_equal(loaded, self.new_page)
+        self._assert_committed(committed)
 
     def test_bit_flipped_tmp_files_are_ignored(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
+        before, segment, manifest = self._materialize(tmp_path)
         rng = __import__("random").Random("bitflip-sweep")
         for trial in range(24):
             torn_segment = bytearray(segment)
@@ -496,8 +514,8 @@ class TestGenerationCrashSafety:
             torn_manifest[rng.randrange(len(manifest))] ^= 1 << rng.randrange(8)
             reader = self._open_state(
                 tmp_path, f"flip{trial}",
-                {"pages.rpw": base,
-                 "pages.rpw.seg-1.tmp": bytes(torn_segment),
+                {**before,
+                 self.segment + ".tmp": bytes(torn_segment),
                  "pages.rpw.gen.tmp": bytes(torn_manifest)},
             )
             self._assert_previous_generation(reader)
@@ -506,20 +524,83 @@ class TestGenerationCrashSafety:
         # The converse guarantee: *published* state that is inconsistent
         # (a manifest referencing a missing segment) is corruption, and
         # must raise instead of silently time-traveling to generation 0.
-        base, segment, manifest = self._materialize(tmp_path)
-        state_dir = tmp_path / "missing-segment"
-        state_dir.mkdir()
-        (state_dir / "pages.rpw").write_bytes(base)
-        (state_dir / "pages.rpw.gen").write_bytes(manifest)
+        before, segment, manifest = self._materialize(tmp_path)
+        files = {**before, "pages.rpw.gen": manifest}
         with pytest.raises(IngestError):
-            open_store(str(state_dir / "pages.rpw"))
+            self._open_state(tmp_path, "missing-segment", files)
 
     def test_truncated_published_segment_fails_loudly(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
-        state_dir = tmp_path / "torn-published-segment"
-        state_dir.mkdir()
-        (state_dir / "pages.rpw").write_bytes(base)
-        (state_dir / "pages.rpw.seg-1").write_bytes(segment[: len(segment) // 2])
-        (state_dir / "pages.rpw.gen").write_bytes(manifest)
+        before, segment, manifest = self._materialize(tmp_path)
+        files = {**before, self.segment: segment[: len(segment) // 2],
+                 "pages.rpw.gen": manifest}
         with pytest.raises(IngestError):
-            open_store(str(state_dir / "pages.rpw"))
+            self._open_state(tmp_path, "torn-published-segment", files)
+
+
+#: Queries over the ``_page`` vocabulary, for the indexed sweep.
+QUERIES = (
+    {"old": 1.0, "alpha": 1.0},
+    {"new": 1.0, "beta": 1.0},
+    {"alpha": 0.5, "beta": 2.0, "old": 1.0, "new": 1.0},
+)
+
+
+class TestIndexedGenerationCrashSafety(TestGenerationCrashSafety):
+    """The same sweep over an indexed store: pages and postings share one
+    generation, so every torn prefix of segment and manifest reopens the
+    previous generation with the identical page set *and* identical
+    ``score()`` results, and the committed state scores the update."""
+
+    previous_generation = 1  # indexing compacts: the base is generation 1
+
+    def _prepare(self, path):
+        from repro.retrieval.index import CorpusIndexReader, build_corpus_index
+
+        build_corpus_index(path)
+        index = CorpusIndexReader(path)
+        self.previous_scores = [index.score(query) for query in QUERIES]
+        assert any(self.previous_scores)
+
+    def _stage_postings(self, updater):
+        from repro.retrieval.index import update_corpus_index
+
+        assert update_corpus_index(updater, {"fp-new": self.new_page}) == 1
+
+    def _scores(self, reader):
+        from repro.retrieval.index import CorpusIndexReader
+
+        index = CorpusIndexReader(reader)
+        return [index.score(query) for query in QUERIES]
+
+    def _assert_previous_generation(self, reader):
+        super()._assert_previous_generation(reader)
+        assert self._scores(reader) == self.previous_scores
+
+    def _assert_committed(self, reader):
+        super()._assert_committed(reader)
+        scores = self._scores(reader)
+        assert all(fp == "fp-new" for ranked in scores for fp, _ in ranked)
+        assert scores[1] and scores[1][0][0] == "fp-new"
+
+    def test_compaction_crash_never_mixes_idf_fits(self, tmp_path):
+        # A crash between the compacted base's rename and its manifest
+        # swap leaves the old manifest over the new base.  Its segments
+        # were weighted with the old IDF, so they are skipped: the new
+        # base alone serves the old generation's pages, with scores
+        # equal to the completed compaction's.
+        from repro.retrieval.index import build_corpus_index
+
+        before, segment, manifest = self._materialize(tmp_path)
+        path = tmp_path / "scratch" / "pages.rpw"
+        build_corpus_index(str(path))
+        compacted = path.read_bytes()
+        done = self._scores(open_store(str(path)))
+        reader = self._open_state(
+            tmp_path, "compaction-crash",
+            {"pages.rpw": compacted, self.segment: segment,
+             "pages.rpw.gen": manifest},
+        )
+        assert reader.generation == self.previous_generation + 1
+        assert set(reader.fingerprints()) == {"fp-new"}
+        assert reader.stat()["segments"] == 0
+        assert self._scores(reader) == done
