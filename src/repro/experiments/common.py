@@ -83,17 +83,19 @@ def clear_process_caches() -> None:
     """Reset the process-wide NLP/metric memo tables.
 
     The pure-function caches (NER span extraction, token-F1 triples,
-    Substring segment splits) are keyed on content and shared by every
-    model bundle in the process — exactly what serving wants, but a
-    timing hazard for A/B experiments: the first variant measured warms
-    them for the rest.  Timing harnesses (Table 3's ablation) call this
-    between variants so every variant starts equally cold.  Results are
-    never affected — the caches memoize pure functions.
+    Substring segment splits, the selection loss's answer word sets) are
+    keyed on content and shared by every model bundle in the process —
+    exactly what serving wants, but a timing hazard for A/B experiments:
+    the first variant measured warms them for the rest.  Timing harnesses
+    (Table 3's ablation) call this between variants so every variant
+    starts equally cold.  Results are never affected — the caches
+    memoize pure functions.
     """
     from ..dsl.eval import _segments
     from ..dsl.productions import expand_extractor, expand_locator, gen_guards
     from ..metrics.tokens import _string_tokens, _token_prf_cached
     from ..nlp.ner import _extract_entities_cached
+    from ..selection.loss import answer_word_set
     from ..synthesis.examples import _string_memo_cache
 
     _extract_entities_cached.cache_clear()
@@ -103,6 +105,7 @@ def clear_process_caches() -> None:
     expand_extractor.cache_clear()
     expand_locator.cache_clear()
     gen_guards.cache_clear()
+    answer_word_set.cache_clear()
     _string_memo_cache.clear()
 
 

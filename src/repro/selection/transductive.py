@@ -89,17 +89,38 @@ def consensus_select(
     multiplicity: dict[tuple[str, ...], int] = {}
     for answer in outputs:
         multiplicity[answer] = multiplicity.get(answer, 0) + 1
-    losses: dict[tuple[str, ...], float] = {}
-    for answer in multiplicity:
-        total = 0.0
-        for other, count in multiplicity.items():
-            total += count * output_loss((answer,), (other,))
-        losses[answer] = total / len(outputs)
+    distinct = list(multiplicity)
+    totals = _weighted_losses(
+        [(answer,) for answer in distinct], list(multiplicity.values())
+    )
+    losses = {
+        answer: total / len(outputs) for answer, total in zip(distinct, totals)
+    }
     best = min(
-        multiplicity,
+        distinct,
         key=lambda answer: (losses[answer], -multiplicity[answer], answer),
     )
     return outputs.index(best), losses[best], multiplicity[best]
+
+
+def _weighted_losses(
+    items: "list[tuple[tuple[str, ...], ...]]", weights: "list[int]"
+) -> "list[int]":
+    """``Σ_j weights[j] · output_loss(items[i], items[j])`` for every i.
+
+    The shared kernel of Eq. 11 and the corpus vote.  ``items`` are
+    distinct, the loss is symmetric and zero on the diagonal, so each
+    unordered pair's loss is computed once and credited to both ends.
+    Totals are integer sums, so the result does not depend on the
+    pairing order.
+    """
+    totals = [0] * len(items)
+    for i, item in enumerate(items):
+        for j in range(i + 1, len(items)):
+            loss = output_loss(item, items[j])
+            totals[i] += weights[j] * loss
+            totals[j] += weights[i] * loss
+    return totals
 
 
 def select_program(
@@ -115,7 +136,9 @@ def select_program(
     Note the N² pairwise loss of Eq. 11 collapses to comparing *distinct*
     outputs weighted by multiplicity: many sampled programs are
     observationally identical on the unlabeled pages, and grouping them
-    makes selection fast without changing the argmin.
+    makes selection fast without changing the argmin.  Each distinct
+    sampled program is run once, weighted by how often it was sampled;
+    ties go to the first-sampled program.
     """
     if not result.spaces:
         raise ValueError("synthesis produced no optimal programs to select from")
@@ -123,27 +146,35 @@ def select_program(
     contexts = TaskContexts(
         result.question, tuple(result.keywords), models, engine=engine
     )
-
-    # Group ensemble members by their behaviour on the unlabeled pages.
-    by_output: dict[tuple[tuple[str, ...], ...], list[ast.Program]] = {}
+    sampled: dict[ast.Program, int] = {}
     for program in ensemble:
+        sampled[program] = sampled.get(program, 0) + 1
+
+    # Group distinct programs by their behaviour on the unlabeled pages:
+    # outputs -> [first-sampled program, summed multiplicity].
+    by_output: dict[tuple[tuple[str, ...], ...], list] = {}
+    for program, count in sampled.items():
         outputs = run_on_pages(
             program, unlabeled_pages, result.question, result.keywords,
             models, contexts,
         )
-        by_output.setdefault(outputs, []).append(program)
+        group = by_output.get(outputs)
+        if group is None:
+            by_output[outputs] = [program, count]
+        else:
+            group[1] += count
 
-    distinct = list(by_output.items())
+    distinct = list(by_output)
+    totals = _weighted_losses(
+        distinct, [by_output[outputs][1] for outputs in distinct]
+    )
     best_program: ast.Program | None = None
     best_loss = float("inf")
-    for outputs, programs in distinct:
-        total = 0.0
-        for other_outputs, other_programs in distinct:
-            total += len(other_programs) * output_loss(outputs, other_outputs)
+    for outputs, total in zip(distinct, totals):
         mean_loss = total / len(ensemble)
         if mean_loss < best_loss:
             best_loss = mean_loss
-            best_program = programs[0]
+            best_program = by_output[outputs][0]
     assert best_program is not None
     return SelectionOutcome(
         program=best_program,

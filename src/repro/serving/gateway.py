@@ -567,7 +567,7 @@ class ServingGateway:
         Scoring runs once at the front, in the service helper
         :meth:`~repro.serving.service.QAService.answer_corpus` (the store
         and its postings are shared by every shard); each candidate page
-        then fans out through :meth:`_submit_to` on its
+        loads through, and then fans out via :meth:`_submit_to` to, its
         *content-affinity* shard — the shard whose cache owns that
         fingerprint — so routed fan-outs coalesce with ordinary page
         traffic and the per-shard cache partitioning is preserved.  The
@@ -586,7 +586,10 @@ class ServingGateway:
             return self._gather(futures, timeout)
 
         return self._shards[0].answer_corpus(
-            route, question, top_k, exhaustive, fan_out
+            route, question, top_k, exhaustive, fan_out,
+            lambda fingerprint: self._shards[
+                self.shard_of_fingerprint(fingerprint)
+            ].cache,
         )
 
     # -- asyncio front-end ---------------------------------------------------

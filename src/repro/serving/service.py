@@ -110,12 +110,18 @@ class ServingRequest:
     Exactly one of ``html`` / ``page`` is set: raw HTML goes through the
     ingestion pipeline (and its cache); an already-parsed
     :class:`WebPage` skips it, for callers that manage pages themselves.
+    Such a caller may state the page's provenance — ``fingerprint``,
+    ``degraded`` and ``cache_hit`` — and the request's
+    :class:`ServingResult` reports it as given.
     """
 
     route: str
     html: str | None = None
     page: WebPage | None = None
     url: str = ""
+    fingerprint: str = ""
+    degraded: bool = False
+    cache_hit: bool = False
 
     def __post_init__(self) -> None:
         if (self.html is None) == (self.page is None):
@@ -822,9 +828,10 @@ class QAService:
         query; the store's postings score it against every page with one
         vectorized sparse dot-product; the ``top_k`` highest-scoring
         pages are fanned through the ordinary micro-batch predict path
-        (rehydrated from store planes, no parsing); and the transductive
-        consensus rule elects the answer among the candidates'
-        predictions, returned with full page provenance.
+        (taken from the page cache first, rehydrated from store planes
+        on a miss — never parsed); and the transductive consensus rule
+        elects the answer among the candidates' predictions, returned
+        with full page provenance.
 
         ``exhaustive=True`` bypasses the postings and scores every store
         page on the fly — the O(corpus) reference path.  By construction
@@ -842,7 +849,9 @@ class QAService:
                 requests, strict=False, deadline_seconds=deadline_seconds
             )
 
-        return self.answer_corpus(route, question, top_k, exhaustive, fan_out)
+        return self.answer_corpus(
+            route, question, top_k, exhaustive, fan_out, lambda _: self.cache
+        )
 
     def answer_corpus(
         self,
@@ -851,17 +860,24 @@ class QAService:
         top_k: "int | None",
         exhaustive: bool,
         fan_out,
+        cache_of,
     ) -> CorpusAnswer:
         """Query → score → top-k → ``fan_out`` → consensus, on one generation.
 
         The shared body of :meth:`ask_corpus` and the gateway's: only
-        ``fan_out`` differs between them.  It takes the candidates'
-        fingerprints and one :class:`ServingRequest` per candidate, and
-        returns one :class:`ServingResult` per request.
+        ``fan_out`` and ``cache_of`` differ between them.  ``fan_out``
+        takes the candidates' fingerprints and one
+        :class:`ServingRequest` per candidate, and returns one
+        :class:`ServingResult` per request.  ``cache_of`` maps a
+        fingerprint to the :class:`PageCache` that holds its page.
 
         Scoring, page loads and urls all read one pinned store snapshot,
         so a feed reloading the store mid-question cannot mix two
-        generations (or lose a candidate page it replaced).
+        generations (or lose a candidate page it replaced).  Each
+        candidate loads memory → disk: its cache's page when present,
+        else the snapshot's planes, which the load then caches (counted
+        as an ingest ``store_hit``).  Fingerprints are content digests,
+        so a cached page is never stale.
         """
         if self.store is None:
             raise IngestError(
@@ -880,15 +896,28 @@ class QAService:
         candidates = cut_top_k(scored, top_k)
         answers: "list[tuple[str, ...] | None]" = []
         if candidates:
-            results = fan_out(
-                [fingerprint for fingerprint, _ in candidates],
-                [
+            requests = []
+            for fingerprint, _ in candidates:
+                cache = cache_of(fingerprint)
+                loaded = self.store.load(
+                    fingerprint,
+                    snapshot,
+                    cache=cache if cache.capacity > 0 else None,
+                )
+                page, degraded = loaded
+                if not loaded.cache_hit:
+                    cache.stats.record_store_hit(degraded=degraded)
+                requests.append(
                     ServingRequest(
                         route=route,
-                        page=self.store.load(fingerprint, snapshot)[0],
+                        page=page,
+                        fingerprint=fingerprint,
+                        degraded=degraded,
+                        cache_hit=loaded.cache_hit,
                     )
-                    for fingerprint, _ in candidates
-                ]
+                )
+            results = fan_out(
+                [fingerprint for fingerprint, _ in candidates], requests
             )
             answers = [
                 result.answer if result.ok else None for result in results
@@ -1198,7 +1227,10 @@ class QAService:
                     self._injector.before_ingest(index, attempt)
                 if request.page is not None:
                     outcome = IngestOutcome(
-                        request.page, "", degraded=False, cache_hit=False
+                        request.page,
+                        request.fingerprint,
+                        degraded=request.degraded,
+                        cache_hit=request.cache_hit,
                     )
                 else:
                     outcome = ingest_page(

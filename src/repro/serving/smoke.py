@@ -312,7 +312,9 @@ def _route_every_task(
 
     Routed must equal exhaustive on every :data:`ROUTING_KEYS` field and
     (when ``expected`` holds recorded answers) equal the recording, and
-    every route must produce an answer.
+    every route must produce an answer.  A second routed ask must equal
+    the first and take every candidate from the page cache: one cache
+    hit per candidate, no store rehydration.
     """
     manifest = read_artifact(str(out_dir / MANIFEST))
     routing = read_artifact(str(out_dir / ROUTING_FILE))
@@ -347,6 +349,24 @@ def _route_every_task(
             if not routed.ok:
                 failures += 1
                 print(f"NO ANSWER routed for {task_id}", file=sys.stderr)
+            # The second ask of a route finds every candidate in the
+            # page cache: no plane is read from disk.
+            stats = service.cache.stats
+            hits, rehydrated = stats.cache_hits, stats.store_hits
+            again = service.ask_corpus(task_id, top_k=top_k)
+            hits = stats.cache_hits - hits
+            rehydrated = stats.store_hits - rehydrated
+            if rehydrated or hits != len(routed.candidates):
+                failures += 1
+                print(
+                    f"WARM ASK REHYDRATED{label} for {task_id}: {rehydrated} "
+                    f"store loads, {hits} cache hits for "
+                    f"{len(routed.candidates)} candidates",
+                    file=sys.stderr,
+                )
+            if again.as_dict() != got:
+                failures += 1
+                print(f"WARM ASK DIFFERS{label} for {task_id}", file=sys.stderr)
     return failures
 
 
@@ -390,7 +410,8 @@ def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
     print(
         f"routing smoke OK: {len(manifest['tasks'])} routes answered from "
         f"the index at top_k={top_k}, routed == exhaustive == export, "
-        f"0 parse calls, 0 synthesis calls"
+        f"second asks served from the page cache, 0 parse calls, "
+        f"0 synthesis calls"
     )
     return 0
 

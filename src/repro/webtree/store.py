@@ -734,6 +734,21 @@ def _open_generation(path: str) -> StoreSnapshot:
     return StoreSnapshot(manifest["generation"], files, routing, removed)
 
 
+class LoadedPage(tuple):
+    """One :meth:`CorpusStoreReader.load`: unpacks as ``(page, degraded)``.
+
+    ``cache_hit`` is True when the page cache passed to the load
+    answered it, so no plane was read.
+    """
+
+    def __new__(
+        cls, page: WebPage, degraded: bool, cache_hit: bool = False
+    ) -> "LoadedPage":
+        loaded = super().__new__(cls, (page, degraded))
+        loaded.cache_hit = cache_hit
+        return loaded
+
+
 class CorpusStoreReader:
     """Read-only memmap view of a corpus store (base + update segments).
 
@@ -841,16 +856,35 @@ class CorpusStoreReader:
         return store_file.load(fingerprint)
 
     def load(
-        self, fingerprint: str, snapshot: "Optional[StoreSnapshot]" = None
-    ) -> "tuple[WebPage, bool]":
-        """Rehydrate one page (with its index prebuilt) from the planes.
+        self,
+        fingerprint: str,
+        snapshot: "Optional[StoreSnapshot]" = None,
+        cache: "object | None" = None,
+    ) -> "LoadedPage":
+        """One page (with its index prebuilt): from ``cache``, else the planes.
 
         ``snapshot`` pins the generation to load from (default: the
-        current one).
+        current one).  ``cache`` is a page cache keyed like the store
+        (``get_entry``/``put`` of ``(page, degraded)`` by fingerprint, as
+        :class:`~repro.serving.ingest.PageCache`): a hit returns the
+        cached page, whose evaluation memos are already warm, and reads
+        no plane; a miss rehydrates from ``snapshot`` and puts the page
+        while that is still the current generation.  Fingerprints are
+        content digests, so a cached page is the page of that fingerprint
+        in every generation that holds it; a load pinned to a generation
+        that a reload has since replaced does not re-cache a page the
+        newer generation may have dropped.
         """
+        if cache is not None:
+            entry = cache.get_entry(fingerprint)
+            if entry is not None:
+                return LoadedPage(*entry, cache_hit=True)
         if snapshot is None:
             snapshot = self._snapshot
-        return snapshot.load(fingerprint)
+        page, degraded = snapshot.load(fingerprint)
+        if cache is not None and snapshot is self._snapshot:
+            cache.put(fingerprint, page, degraded)
+        return LoadedPage(page, degraded)
 
 
 class CorpusStoreUpdater:

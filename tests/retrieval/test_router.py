@@ -8,7 +8,8 @@ O(corpus) exhaustive scan returns.  This suite holds that equality over
 all 25 dataset tasks on a mixed-domain store, over hypothesis-driven
 ``top_k`` choices, and at the raw scoring layer over hypothesis-built
 sparse queries; plus the sharded-gateway entry point against the
-single-service one.
+single-service one, and candidates taken from a warm page cache
+against a cold one and against the scan.
 """
 
 import pytest
@@ -156,3 +157,151 @@ def test_gateway_matches_single_service(rig, tmp_path):
                 gateway.ask_corpus(task_id, top_k=8, exhaustive=True)
             )
             assert via_scan == direct
+
+
+# -- warm ≡ cold: candidates from the page cache ------------------------------
+
+
+def _front(kind, path, page_cache_size):
+    if kind == "service":
+        return QAService(jobs=1, store=path, page_cache_size=page_cache_size)
+    return ServingGateway(shards=2, store=path, page_cache_size=page_cache_size)
+
+
+def _caches(front):
+    if isinstance(front, ServingGateway):
+        return [shard.cache for shard in front._shards]
+    return [front.cache]
+
+
+def _cache_hits(front):
+    return sum(cache.stats.cache_hits for cache in _caches(front))
+
+
+def _cached(front, fingerprint):
+    return any(cache.get(fingerprint) is not None for cache in _caches(front))
+
+
+@pytest.mark.parametrize("kind", ["service", "gateway"])
+def test_warm_equals_cold_on_every_route(rig, kind):
+    """Cache off, cold cache, warm cache and the scan: one CorpusAnswer."""
+    service, path = rig
+    with _front(kind, path, 0) as cold, _front(kind, path, 256) as warm:
+        for task_id in sorted(TASKS_BY_ID):
+            cold.register(task_id, service.tool(task_id))
+            warm.register(task_id, service.tool(task_id))
+        for task_id in sorted(TASKS_BY_ID):
+            uncached, _ = _strip_routed(cold.ask_corpus(task_id, top_k=8))
+            first, _ = _strip_routed(warm.ask_corpus(task_id, top_k=8))
+            hits = _cache_hits(warm)
+            second, _ = _strip_routed(warm.ask_corpus(task_id, top_k=8))
+            assert _cache_hits(warm) - hits == len(second["candidates"])
+            scanned, _ = _strip_routed(
+                warm.ask_corpus(task_id, top_k=8, exhaustive=True)
+            )
+            assert uncached == first == second == scanned, task_id
+        assert all(len(cache) == 0 for cache in _caches(cold))
+
+
+@pytest.mark.parametrize("kind", ["service", "gateway"])
+def test_feed_replaces_a_cached_candidate(rig, kind, tmp_path):
+    """A fed page evicts its cached predecessor; the next ask sees it."""
+    from repro.dataset.corpus import DOMAINS, generate_page
+    from repro.serving.corpus import build_corpus_store, dataset_documents
+    from repro.serving.live import LiveCorpus
+
+    service, _ = rig
+    routes = ("fac_t1", "class_t1", "clinic_t1", "conf_t1")
+    docs = {url: html for html, url in dataset_documents(DOMAINS, 6)}
+
+    def build(path):
+        build_corpus_store(
+            ((html, url) for url, html in sorted(docs.items())), path
+        )
+        build_corpus_index(path)
+
+    build(str(tmp_path / "live.rpw"))
+    with _front(kind, str(tmp_path / "live.rpw"), 256) as front:
+        for route in routes:
+            front.register(route, service.tool(route))
+        live = LiveCorpus(front)
+        before = front.ask_corpus("fac_t1", top_k=8)
+        assert before.ok and _cached(front, before.fingerprint)
+        docs[before.url] = generate_page("faculty", 9000).html
+        live.feed(docs[before.url], before.url)
+        assert not _cached(front, before.fingerprint)
+        for route in routes:
+            routed, _ = _strip_routed(front.ask_corpus(route, top_k=8))
+            scanned, _ = _strip_routed(
+                front.ask_corpus(route, top_k=8, exhaustive=True)
+            )
+            assert routed == scanned, route
+            assert before.fingerprint not in dict(routed["candidates"])
+        assert not _cached(front, before.fingerprint)
+        live.compact()
+        build(str(tmp_path / "fresh.rpw"))
+        with QAService(jobs=1, store=str(tmp_path / "fresh.rpw")) as fresh:
+            for route in routes:
+                fresh.register(route, service.tool(route))
+                warm, _ = _strip_routed(front.ask_corpus(route, top_k=8))
+                rebuilt, _ = _strip_routed(fresh.ask_corpus(route, top_k=8))
+                assert warm == rebuilt, route
+
+
+def test_candidates_carry_store_provenance(rig, tmp_path):
+    """Fingerprint, cache hit and a capped page's degraded flag reach results."""
+    import itertools
+
+    from repro.dataset.corpus import generate_page
+    from repro.html.parser import parse_html
+    from repro.serving.corpus import build_corpus_store
+    from repro.serving.ingest import ServingLimits
+
+    def dom_nodes(html):
+        return next(
+            limit for limit in itertools.count(1)
+            if not parse_html(html, None, limit).truncated
+        )
+
+    service, _ = rig
+    pages = [generate_page("faculty", seed) for seed in range(5)]
+    sizes = sorted(dom_nodes(page.html) for page in pages)
+    assert sizes[-1] > sizes[-2]
+    path = str(tmp_path / "capped.rpw")
+    build_corpus_store(
+        [(page.html, page.page.url) for page in pages],
+        path,
+        limits=ServingLimits(max_nodes=sizes[-2]),
+    )
+    build_corpus_index(path)
+    store = open_store(path)
+    degraded = {
+        fingerprint
+        for fingerprint in store.fingerprints()
+        if store.entry(fingerprint)["degraded"]
+    }
+    assert len(degraded) == 1
+    with QAService(jobs=1, store=path) as target:
+        target.register("fac_t1", service.tool("fac_t1"))
+        seen = []
+        ask_many = target.ask_many
+
+        def spy(requests, **kwargs):
+            results = ask_many(requests, **kwargs)
+            seen.append(results)
+            return results
+
+        target.ask_many = spy
+        for cache_hit in (False, True):
+            flagged = target.stats.degraded
+            answer = target.ask_corpus("fac_t1", top_k=None)
+            results = seen.pop()
+            assert [r.fingerprint for r in results] == [
+                fingerprint for fingerprint, _ in answer.candidates
+            ]
+            assert degraded <= {r.fingerprint for r in results}
+            for result in results:
+                assert result.ok
+                assert result.cache_hit is cache_hit
+                assert result.degraded == (result.fingerprint in degraded)
+            assert target.stats.degraded - flagged == 1
