@@ -644,7 +644,7 @@ def test_bench_serve_cold_store(benchmark):
     assert len(answers) == len(_SERVE_HTML)
     # Every request must have come off the store, not the parser.
     last = services[-1]
-    assert last.cache.stats.store_hits == len(_SERVE_HTML)
+    assert last.cache.stats.snapshot()["store_hits"] == len(_SERVE_HTML)
     # Store-backed answers are bit-identical to the parse path's.
     with QAService(jobs=2, max_batch=len(_SERVE_HTML)) as parsed_service:
         parsed_service.register("bench", artifact)

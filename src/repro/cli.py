@@ -249,9 +249,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             f"({n / direct_seconds:.1f} pages/s; service overhead "
             f"{overhead * 100:+.1f}%)"
         )
-    for key, value in service.stats.as_dict().items():
+    health = service.health()
+    for key, value in health["stats"].items():
         print(f"  {key}: {value}")
-    for key, value in service.cache.stats.as_dict().items():
+    for key, value in health["ingest"].items():
         print(f"  page_cache.{key}: {value}")
     return 0
 
@@ -389,7 +390,8 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
         f"({100 * stats['shed_rate']:.1f}%)  "
         f"batches: {stats['batches']}  "
         f"mean batch: {stats['mean_batch_size']:.2f}  "
-        f"max batch: {stats['max_batch_size']}"
+        f"max batch: {stats['max_batch_size']}  "
+        f"mean queue wait: {stats['mean_queue_wait_ms']:.3f}ms"
     )
     print(
         f"hot swaps: {stats['hot_swaps']}  rollbacks: {stats['rollbacks']}  "

@@ -241,7 +241,7 @@ def run(config: ExperimentConfig) -> list[ChaosRow]:
                 f"hot-swap storm dropped/corrupted {len(askers.failures)} "
                 "in-flight requests"
             )
-        if svc.stats.hot_swaps < 100:
+        if svc.stats.snapshot()["hot_swaps"] < 100:
             raise AssertionError("hot-swap storm republished fewer than 100 versions")
         deadline = time.monotonic() + 5.0
         while not svc.route_drained(CHAOS_TASK):
@@ -272,7 +272,7 @@ def run(config: ExperimentConfig) -> list[ChaosRow]:
                 f"sharded hot-swap storm dropped/corrupted "
                 f"{len(askers.failures)} in-flight requests"
             )
-        if gateway.stats.hot_swaps < 100:
+        if gateway.stats.snapshot()["hot_swaps"] < 100:
             raise AssertionError(
                 "sharded hot-swap storm republished fewer than 100 versions"
             )
@@ -365,7 +365,7 @@ def run(config: ExperimentConfig) -> list[ChaosRow]:
                 raise AssertionError(f"refit fault did not roll back: {report.swaps}")
             if svc.route_version(CHAOS_TASK) != version_before:
                 raise AssertionError("rollback changed the serving version")
-            if svc.stats.rollbacks < 1:
+            if svc.stats.snapshot()["rollbacks"] < 1:
                 raise AssertionError("rollback not counted")
             rows.append(_summarize("live-rollback", askers.results, elapsed))
 

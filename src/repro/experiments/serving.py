@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..core.webqa import WebQA
 from ..dataset.tasks import TASKS_BY_ID
-from ..serving.ingest import ingest_html
+from ..serving.ingest import ingest_html, ingest_summary
 from ..serving.service import QAService, ServingRequest
 from ..webtree.html_out import page_to_html
 from .common import ExperimentConfig, dataset_for
@@ -92,7 +92,7 @@ def _measure_task(
             raise AssertionError(f"{task_id}: warm serving diverged from cold")
         # Snapshot the hit rate *before* the baseline probes below touch
         # the cache, so the reported number reflects serving traffic only.
-        hit_rate = service.cache.stats.hit_rate()
+        hit_rate = ingest_summary(service.cache.stats.snapshot())["hit_rate"]
 
         # Direct baseline on the same page objects the service answered
         # from (re-ingest resolves cached entries and transparently

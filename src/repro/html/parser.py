@@ -250,7 +250,7 @@ _CDATA_CLOSE = {
 #: Parse-path observability: how often parse_html ran, and how often the
 #: fast scanner bailed to the stdlib tokenizer.  `parse_call_count()`
 #: backs the CI corpus-smoke assertion that store-backed serving parses
-#: *nothing*; the fallback count feeds IngestStats.parse_fallbacks.
+#: *nothing*; the fallback count feeds the ingest ``parse_fallbacks`` counter.
 _counts_lock = threading.Lock()
 _parse_calls = 0
 _fast_fallbacks = 0

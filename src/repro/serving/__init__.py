@@ -15,7 +15,8 @@ registered tools are stateless, loadable
 * :mod:`repro.serving.service` — :class:`QAService`: many artifacts
   under routing keys, request coalescing into micro-batches dispatched
   over the :class:`~repro.runtime.TaskRunner`, per-stage latency and
-  throughput statistics, and the fault-tolerance layer (per-request
+  throughput counters (one :class:`~repro.obs.Counters` per service,
+  gateway and page cache), and the fault-tolerance layer (per-request
   isolation, deadlines, bounded retry, admission control, per-route
   circuit breakers — see the module docstring for the failure model).
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`: concurrent
@@ -40,11 +41,10 @@ from .faults import (
     adversarial_corpus,
     adversarial_html,
 )
-from .gateway import GatewayStats, ServingGateway
+from .gateway import ServingGateway
 from .ingest import (
     DEFAULT_LIMITS,
     IngestOutcome,
-    IngestStats,
     PageCache,
     ServingLimits,
     ingest_html,
@@ -56,7 +56,6 @@ from .service import (
     CircuitBreaker,
     QAService,
     RetryPolicy,
-    ServiceStats,
     ServingRequest,
     ServingResult,
 )
@@ -67,11 +66,9 @@ __all__ = [
     "FaultPlan",
     "adversarial_corpus",
     "adversarial_html",
-    "GatewayStats",
     "ServingGateway",
     "DEFAULT_LIMITS",
     "IngestOutcome",
-    "IngestStats",
     "PageCache",
     "ServingLimits",
     "ingest_html",
@@ -81,7 +78,6 @@ __all__ = [
     "CircuitBreaker",
     "QAService",
     "RetryPolicy",
-    "ServiceStats",
     "ServingRequest",
     "ServingResult",
 ]

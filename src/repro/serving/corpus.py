@@ -16,7 +16,7 @@ import time
 from typing import Iterable, Sequence
 
 from ..webtree.store import CorpusStoreReader, CorpusStoreWriter
-from .ingest import DEFAULT_LIMITS, IngestStats, ServingLimits, ingest_page
+from .ingest import DEFAULT_LIMITS, ServingLimits, ingest_counters, ingest_page
 
 #: Re-exported serving-facing name: the read handle a ``QAService`` or a
 #: ``TaskRunner`` worker opens over a built store.
@@ -39,7 +39,7 @@ def build_corpus_store(
 
     Returns a build report (page/node counts, parse seconds, fallbacks).
     """
-    stats = IngestStats()
+    stats = ingest_counters()
     started = time.perf_counter()
     with CorpusStoreWriter(path) as writer:
         for html, url in documents:
@@ -49,14 +49,15 @@ def build_corpus_store(
         pages = len(writer)
     reader = CorpusStoreReader(path)
     report = reader.stat()
+    counts = stats.snapshot()
     report.update(
         {
-            "documents": stats.pages_ingested,
-            "deduped": stats.pages_ingested - pages,
-            "degraded_pages": stats.pages_degraded,
-            "parse_fallbacks": stats.parse_fallbacks,
-            "parse_seconds": round(stats.parse_seconds, 4),
-            "index_seconds": round(stats.index_seconds, 4),
+            "documents": counts["pages_ingested"],
+            "deduped": counts["pages_ingested"] - pages,
+            "degraded_pages": counts["pages_degraded"],
+            "parse_fallbacks": counts["parse_fallbacks"],
+            "parse_seconds": round(counts["parse_seconds"], 4),
+            "index_seconds": round(counts["index_seconds"], 4),
             "build_seconds": round(time.perf_counter() - started, 4),
         }
     )
@@ -139,7 +140,7 @@ def update_corpus_store(
         entry = reader.entry(fingerprint)
         if entry is not None and entry.get("url"):
             by_url[entry["url"]] = fingerprint
-    stats = IngestStats()
+    stats = ingest_counters()
     started = time.perf_counter()
     updated = removed = missing = 0
     with CorpusStoreUpdater(path) as updater:
@@ -172,7 +173,7 @@ def update_corpus_store(
             "updated": updated,
             "removed": removed,
             "missing_urls": missing,
-            "degraded_updates": stats.pages_degraded,
+            "degraded_updates": stats.snapshot()["pages_degraded"],
             "update_seconds": round(time.perf_counter() - started, 4),
         }
     )

@@ -61,74 +61,45 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
 
 from ..core.errors import DeadlineExceeded, RejectedError
+from ..obs import Counters, merge, ratio
 from ..retrieval.router import DEFAULT_TOP_K, CorpusAnswer
 from ..runtime.batchq import CoalescingQueue, QueueClosed
 from .faults import FaultInjector, FaultPlan
 from .ingest import DEFAULT_LIMITS, ServingLimits, page_fingerprint
-from .service import QAService, ServingRequest, ServingResult
+from .service import QAService, ServingRequest, ServingResult, service_summary
 
 
-@dataclass
-class GatewayStats:
-    """Front-end counters: what entered, what was refused, how it batched.
+def gateway_counters() -> Counters:
+    """The gateway layer's own counters (each shard keeps its service's).
 
-    Per-shard serving detail (stage seconds, retries, failures) lives
-    on each shard's own :class:`~repro.serving.service.ServiceStats`;
-    these counters cover the gateway layer itself.
+    ``shed`` counts requests refused at the queue bound
+    (``RejectedError("overload")``); ``queue_wait_seconds`` sums every
+    dispatched request's wait from submit to dispatch.
     """
+    return Counters(
+        submitted=0, shed=0, batches=0, batched_requests=0, max_batch_size=0,
+        queue_wait_seconds=0.0, hot_swaps=0, rollbacks=0,
+        maxima=("max_batch_size",),
+    )
 
-    submitted: int = 0
-    #: Requests refused at the queue bound (``RejectedError("overload")``).
-    shed: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    max_batch_size: int = 0
-    hot_swaps: int = 0
-    rollbacks: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record_submit(self, count: int = 1) -> None:
-        with self._lock:
-            self.submitted += count
-
-    def record_shed(self, count: int = 1) -> None:
-        with self._lock:
-            self.shed += count
-
-    def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-            self.max_batch_size = max(self.max_batch_size, size)
-
-    def record_swap(self) -> None:
-        with self._lock:
-            self.hot_swaps += 1
-
-    def record_rollback(self) -> None:
-        with self._lock:
-            self.rollbacks += 1
-
-    def mean_batch_size(self) -> float:
-        return self.batched_requests / self.batches if self.batches else 0.0
-
-    def shed_rate(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "shed": self.shed,
-            "shed_rate": round(self.shed_rate(), 4),
-            "batches": self.batches,
-            "mean_batch_size": round(self.mean_batch_size(), 2),
-            "max_batch_size": self.max_batch_size,
-            "hot_swaps": self.hot_swaps,
-            "rollbacks": self.rollbacks,
-        }
+def gateway_summary(counts: dict) -> dict:
+    """The ``health()["stats"]`` view of a gateway counters snapshot."""
+    batched, wait = counts["batched_requests"], counts["queue_wait_seconds"]
+    return {
+        "submitted": counts["submitted"],
+        "shed": counts["shed"],
+        "shed_rate": ratio(counts["shed"], counts["submitted"], 4),
+        "batches": counts["batches"],
+        "mean_batch_size": ratio(batched, counts["batches"]),
+        "max_batch_size": counts["max_batch_size"],
+        "queue_wait_seconds": wait,
+        "mean_queue_wait_ms": ratio(1000.0 * wait, batched, 3),
+        "hot_swaps": counts["hot_swaps"],
+        "rollbacks": counts["rollbacks"],
+    }
 
 
 class _FanoutCache:
@@ -155,13 +126,15 @@ class _FanoutCache:
 
 
 class _Pending:
-    """One queued request: the work plus the future its caller awaits."""
+    """One queued request: the work, the future its caller awaits, and
+    when it was submitted (``time.perf_counter``)."""
 
-    __slots__ = ("request", "future")
+    __slots__ = ("request", "future", "submitted")
 
     def __init__(self, request: ServingRequest, future: "Future") -> None:
         self.request = request
         self.future = future
+        self.submitted = time.perf_counter()
 
 
 class ServingGateway:
@@ -220,7 +193,7 @@ class ServingGateway:
         if isinstance(fault_injector, FaultPlan):
             fault_injector = FaultInjector(fault_injector)
         self._injector = fault_injector
-        self.stats = GatewayStats()
+        self.stats = gateway_counters()
         self.cache = _FanoutCache(self)
         self._live: "object | None" = None
         self._routes: "set[str]" = set()
@@ -336,7 +309,7 @@ class ServingGateway:
         with self._routes_lock:
             self._routes.add(route)
         if swap:
-            self.stats.record_swap()
+            self.stats.add(hot_swaps=1)
         return tool
 
     def unregister(self, route: str) -> None:
@@ -367,7 +340,7 @@ class ServingGateway:
         version = ""
         for shard in self._shards:
             version = shard.rollback(route)
-        self.stats.record_rollback()
+        self.stats.add(rollbacks=1)
         return version
 
     def inject_faults(
@@ -420,18 +393,7 @@ class ServingGateway:
         """
         shard_health = [shard.health() for shard in self._shards]
         routes = self.routes()
-        total_requests = sum(h["stats"]["requests"] for h in shard_health)
-        starts = [
-            shard.stats.span_started
-            for shard in self._shards
-            if shard.stats.span_started is not None
-        ]
-        ends = [
-            shard.stats.span_ended
-            for shard in self._shards
-            if shard.stats.span_ended is not None
-        ]
-        span = (max(ends) - min(starts)) if starts and ends else 0.0
+        total = service_summary(merge([shard.stats for shard in self._shards]))
         return {
             "shards": self.shards,
             "closed": self._closed,
@@ -456,12 +418,10 @@ class ServingGateway:
             "versions": {
                 route: self.route_versions(route) for route in routes
             },
-            "requests": total_requests,
-            "span_seconds": span,
-            "throughput_pages_per_s": round(
-                total_requests / span if span > 0 else 0.0, 2
-            ),
-            "stats": self.stats.as_dict(),
+            "requests": total["requests"],
+            "span_seconds": total["span_seconds"],
+            "throughput_pages_per_s": total["throughput_pages_per_s"],
+            "stats": gateway_summary(self.stats.snapshot()),
             "per_shard": shard_health,
         }
 
@@ -483,7 +443,8 @@ class ServingGateway:
         candidate-page fingerprint, where :meth:`shard_of` cannot —
         pre-parsed store pages carry no raw bytes to hash)."""
         future: "Future" = Future()
-        self.stats.record_submit()
+        # Counted before the put, so a dispatch never precedes its count.
+        self.stats.add(submitted=1)
         if self._closed:
             future.set_result(
                 ServingResult(
@@ -499,7 +460,7 @@ class ServingGateway:
         except QueueClosed:
             accepted = False
         if not accepted:
-            self.stats.record_shed()
+            self.stats.add(shed=1)
             future.set_result(
                 ServingResult(
                     route=request.route,
@@ -671,7 +632,15 @@ class ServingGateway:
             if not batch:
                 # take() returns empty only once closed and drained.
                 return
-            self.stats.record_batch(len(batch))
+            dispatched = time.perf_counter()
+            self.stats.add(
+                batches=1,
+                batched_requests=len(batch),
+                max_batch_size=len(batch),
+                queue_wait_seconds=sum(
+                    dispatched - pending.submitted for pending in batch
+                ),
+            )
             try:
                 results = shard.ask_many(
                     [pending.request for pending in batch], strict=False

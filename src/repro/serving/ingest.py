@@ -21,11 +21,11 @@ and an over-limit page parses to a *bounded* tree (flagged
 graceful degradation, in the sense that a capped page still answers
 from whatever survived the cap.
 
-Locking discipline (one rule, two locks): every ``IngestStats`` counter
-is mutated only by its ``record_*`` methods under ``IngestStats._lock``;
-``PageCache._lock`` guards only the LRU ``OrderedDict``.  The cache
-computes hit/miss/eviction outcomes inside its own lock, releases it,
-*then* records them on the stats — the two locks are never held
+Locking discipline (one rule, two locks): every ingest counter is a
+:class:`~repro.obs.Counters`, mutated only by ``Counters.add`` under its
+own lock; ``PageCache._lock`` guards only the LRU ``OrderedDict``.  The
+cache computes hit/miss/eviction outcomes inside its own lock, releases
+it, *then* adds them to the counters — the two locks are never held
 together, so there is no ordering to get wrong and counters cannot tear
 when ingest and cache run on different threads.
 """
@@ -39,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..html.parser import parse_html
+from ..obs import Counters, ratio
 from ..webtree.builder import build_tree
 from ..webtree.node import WebPage
 
@@ -93,89 +94,25 @@ class IngestOutcome:
     store_hit: bool = False
 
 
-@dataclass
-class IngestStats:
-    """Counters and per-stage timings for one ingestion pipeline.
+def ingest_counters() -> Counters:
+    """The counters of one ingestion pipeline (one set per :class:`PageCache`).
 
-    Every field is mutated only through the ``record_*`` methods, each
-    of which takes ``_lock`` — the single documented locking discipline
-    (see the module docstring), shared by direct ingest callers and the
-    owning :class:`PageCache`.
+    ``store_hits`` counts pages rehydrated from the corpus store (no
+    parse paid); ``parse_fallbacks`` counts parses whose fast tokenizer
+    bailed to the stdlib path; ``invalidations`` counts exact drops of
+    stale live-corpus entries, ``evictions`` LRU capacity pressure.
     """
+    return Counters(
+        pages_ingested=0, cache_hits=0, cache_misses=0, evictions=0,
+        pages_degraded=0, store_hits=0, parse_fallbacks=0, invalidations=0,
+        parse_seconds=0.0, index_seconds=0.0,
+    )
 
-    pages_ingested: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    evictions: int = 0
-    pages_degraded: int = 0
-    #: Cache misses answered by the corpus store (no parse paid).
-    store_hits: int = 0
-    #: Parses whose fast tokenizer bailed to the stdlib path — a high
-    #: ratio against ``pages_ingested`` means the corpus is outside the
-    #: scanner subset and the parse_seconds budget is the slow path's.
-    parse_fallbacks: int = 0
-    #: Entries dropped by exact invalidation (live-corpus updates), as
-    #: opposed to ``evictions`` which counts LRU capacity pressure.
-    invalidations: int = 0
-    parse_seconds: float = 0.0
-    index_seconds: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record(
-        self,
-        parse_seconds: float = 0.0,
-        index_seconds: float = 0.0,
-        degraded: bool = False,
-        fallback: bool = False,
-    ) -> None:
-        """Count one ingested page (plus its stage timings), atomically."""
-        with self._lock:
-            self.pages_ingested += 1
-            self.parse_seconds += parse_seconds
-            self.index_seconds += index_seconds
-            if degraded:
-                self.pages_degraded += 1
-            if fallback:
-                self.parse_fallbacks += 1
-
-    def record_store_hit(self, degraded: bool = False) -> None:
-        """Count one page served from the corpus store, atomically."""
-        with self._lock:
-            self.pages_ingested += 1
-            self.store_hits += 1
-            if degraded:
-                self.pages_degraded += 1
-
-    def record_lookup(self, hits: int = 0, misses: int = 0, evictions: int = 0) -> None:
-        """Fold one cache operation's outcome in, atomically."""
-        with self._lock:
-            self.cache_hits += hits
-            self.cache_misses += misses
-            self.evictions += evictions
-
-    def record_invalidation(self, count: int = 1) -> None:
-        """Count exact invalidations (stale live-corpus entries), atomically."""
-        with self._lock:
-            self.invalidations += count
-
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "pages_ingested": self.pages_ingested,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "evictions": self.evictions,
-            "pages_degraded": self.pages_degraded,
-            "store_hits": self.store_hits,
-            "parse_fallbacks": self.parse_fallbacks,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate(), 4),
-            "parse_seconds": self.parse_seconds,
-            "index_seconds": self.index_seconds,
-        }
+def ingest_summary(counts: dict) -> dict:
+    """The ``health()["ingest"]`` view of an ingest counters snapshot."""
+    lookups = counts["cache_hits"] + counts["cache_misses"]
+    return {**counts, "hit_rate": ratio(counts["cache_hits"], lookups, 4)}
 
 
 @dataclass
@@ -194,7 +131,7 @@ class PageCache:
     """
 
     capacity: int = 256
-    stats: IngestStats = field(default_factory=IngestStats)
+    stats: Counters = field(default_factory=ingest_counters)
     _pages: "OrderedDict[str, tuple[WebPage, bool]]" = field(
         default_factory=OrderedDict, repr=False
     )
@@ -208,16 +145,26 @@ class PageCache:
         entry = self.get_entry(fingerprint)
         return entry[0] if entry is not None else None
 
-    def get_entry(self, fingerprint: str) -> "tuple[WebPage, bool] | None":
-        """Cached ``(page, degraded)`` for ``fingerprint``, if present."""
+    def get_entry(
+        self, fingerprint: str, ingested: bool = False
+    ) -> "tuple[WebPage, bool] | None":
+        """Cached ``(page, degraded)`` for ``fingerprint``, if present.
+
+        With ``ingested``, a hit also counts as one ingested page, in
+        the same counters acquisition as the hit.
+        """
         with self._lock:
             entry = self._pages.get(fingerprint)
             if entry is not None:
                 self._pages.move_to_end(fingerprint)
         if entry is None:
-            self.stats.record_lookup(misses=1)
-            return None
-        self.stats.record_lookup(hits=1)
+            self.stats.add(cache_misses=1)
+        elif ingested:
+            self.stats.add(
+                cache_hits=1, pages_ingested=1, pages_degraded=int(entry[1])
+            )
+        else:
+            self.stats.add(cache_hits=1)
         return entry
 
     def put(self, fingerprint: str, page: WebPage, degraded: bool = False) -> None:
@@ -234,7 +181,7 @@ class PageCache:
                     evicted += 1
                 self._pages[fingerprint] = (page, degraded)
         if evicted:
-            self.stats.record_lookup(evictions=evicted)
+            self.stats.add(evictions=evicted)
 
     def invalidate(self, fingerprint: str) -> bool:
         """Drop exactly one entry (a stale live-corpus page), if cached.
@@ -247,15 +194,15 @@ class PageCache:
         in-flight request, which simply rebuilds on next access).
         Degraded entries invalidate the same way — the flag lives in the
         cache slot and dies with it.  Returns True when an entry was
-        dropped; only actual drops count toward
-        :attr:`IngestStats.invalidations`.
+        dropped; only actual drops count toward the ``invalidations``
+        counter.
         """
         with self._lock:
             entry = self._pages.pop(fingerprint, None)
         if entry is None:
             return False
         entry[0].invalidate_index()
-        self.stats.record_invalidation()
+        self.stats.add(invalidations=1)
         return True
 
     def clear(self) -> None:
@@ -267,7 +214,7 @@ def ingest_page(
     html: str,
     url: str = "",
     cache: PageCache | None = None,
-    stats: IngestStats | None = None,
+    stats: Counters | None = None,
     limits: ServingLimits | None = None,
     store: "object | None" = None,
     store_writer: "object | None" = None,
@@ -298,7 +245,7 @@ def ingest_page(
     if stats is None:
         # NB: explicit None-check — PageCache has __len__, so an *empty*
         # cache is falsy and a bare `if cache` would misroute the stats.
-        stats = cache.stats if cache is not None else IngestStats()
+        stats = cache.stats if cache is not None else ingest_counters()
     if cache is not None and cache.capacity <= 0:
         # A disabled cache must be genuinely free: no sha256 over the
         # full HTML, no lock round-trips, no forever-0% hit-rate noise.
@@ -307,16 +254,18 @@ def ingest_page(
     if cache is not None or store is not None or store_writer is not None:
         fingerprint = page_fingerprint(html, url)
     if cache is not None:
-        entry = cache.get_entry(fingerprint)
+        folded = stats is cache.stats
+        entry = cache.get_entry(fingerprint, ingested=folded)
         if entry is not None:
             page, degraded = entry
-            stats.record(degraded=degraded)
+            if not folded:
+                stats.add(pages_ingested=1, pages_degraded=int(degraded))
             return IngestOutcome(page, fingerprint, degraded, cache_hit=True)
     if store is not None:
         entry = store.get(fingerprint)
         if entry is not None:
             page, degraded = entry
-            stats.record_store_hit(degraded=degraded)
+            stats.add(pages_ingested=1, store_hits=1, pages_degraded=int(degraded))
             if cache is not None:
                 cache.put(fingerprint, page, degraded)
             return IngestOutcome(
@@ -340,11 +289,12 @@ def ingest_page(
     parsed = time.perf_counter()
     page.index()
     indexed = time.perf_counter()
-    stats.record(
+    stats.add(
+        pages_ingested=1,
         parse_seconds=parsed - start,
         index_seconds=indexed - parsed,
-        degraded=degraded,
-        fallback=document.fast_fallback,
+        pages_degraded=int(degraded),
+        parse_fallbacks=int(document.fast_fallback),
     )
     if cache is not None:
         cache.put(fingerprint, page, degraded)
@@ -357,7 +307,7 @@ def ingest_html(
     html: str,
     url: str = "",
     cache: PageCache | None = None,
-    stats: IngestStats | None = None,
+    stats: Counters | None = None,
     limits: ServingLimits | None = None,
     store: "object | None" = None,
     store_writer: "object | None" = None,

@@ -15,7 +15,7 @@ This module closes the loop between the generational
 2. **Invalidate.**  Exactly the superseded fingerprint is dropped from
    the :class:`~repro.serving.ingest.PageCache` (cascading to its
    :class:`~repro.webtree.textplane.TextPlane` and per-page memo
-   tables), counted in ``IngestStats.invalidations``.  Untouched pages
+   tables), counted in the ingest ``invalidations`` counter.  Untouched pages
    keep their warm entries — invalidation is exact, not a flush.
 3. **Refit.**  Every tracked route whose labeled or unlabeled pages
    include the changed URL is refitted *warm* on its live
@@ -495,7 +495,7 @@ class LiveCorpus:
             if holdout_f1 < incumbent_f1 - tracked.f1_tolerance:
                 reason = "holdout-regression"
         if reason:
-            service.stats.record_rollback()
+            service.stats.add(rollbacks=1)
             return RouteSwap(
                 route=route, swapped=False, version=old_version,
                 previous_version=old_version, reason=reason,

@@ -302,7 +302,8 @@ def run_single_pool(config: LoadConfig, workload: Workload) -> PhaseResult:
             # Every request in a bulk slice waits for its whole slice.
             phase.latencies_ms.extend([chunk_ms] * len(chunk))
         phase.elapsed_seconds = time.perf_counter() - started
-        phase.mean_batch_size = service.stats.mean_batch_size()
+        counts = service.stats.snapshot()
+        phase.mean_batch_size = counts["requests"] / max(1, counts["batches"])
     _tally(phase, results)
     _verify(workload, stream, results, phase.name)
     return phase
@@ -315,8 +316,7 @@ def run_gateway_closed(
     phase = PhaseResult(name="gateway_closed", requests=len(workload.stream))
     stream = workload.stream
     results: "list" = [None] * len(stream)
-    batches_before = gateway.stats.batches
-    batched_before = gateway.stats.batched_requests
+    before = gateway.stats.snapshot()
     cursor_lock = threading.Lock()
     cursor = [0]
 
@@ -346,10 +346,11 @@ def run_gateway_closed(
     for thread in threads:
         thread.join()
     phase.elapsed_seconds = time.perf_counter() - started
-    batches = gateway.stats.batches - batches_before
+    after = gateway.stats.snapshot()
+    batches = after["batches"] - before["batches"]
     if batches:
         phase.mean_batch_size = (
-            gateway.stats.batched_requests - batched_before
+            after["batched_requests"] - before["batched_requests"]
         ) / batches
     _tally(phase, results)
     _verify(workload, stream, results, phase.name)
@@ -389,8 +390,7 @@ def run_gateway_open(
         workload.stream[rng.randrange(len(workload.stream))]
         for _ in range(config.open_requests)
     ]
-    batches_before = gateway.stats.batches
-    batched_before = gateway.stats.batched_requests
+    before = gateway.stats.snapshot()
     interval = 1.0 / offered_qps if offered_qps > 0 else 0.0
     stall_start = config.open_requests // 3
     stall_end = (2 * config.open_requests) // 3
@@ -422,10 +422,11 @@ def run_gateway_open(
         futures.append(future)
     results = [future.result() for future in futures]
     phase.elapsed_seconds = time.perf_counter() - started
-    batches = gateway.stats.batches - batches_before
+    after = gateway.stats.snapshot()
+    batches = after["batches"] - before["batches"]
     if batches:
         phase.mean_batch_size = (
-            gateway.stats.batched_requests - batched_before
+            after["batched_requests"] - before["batched_requests"]
         ) / batches
     for index, result in enumerate(results):
         if result is not None and result.error is None:

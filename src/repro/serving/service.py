@@ -74,7 +74,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.artifact import ProgramArtifact
 from ..core.errors import (
@@ -88,6 +88,7 @@ from ..core.errors import (
     is_transient,
 )
 from ..core.webqa import WebQA
+from ..obs import Counters, ratio
 from ..retrieval.index import CorpusIndexReader
 from ..retrieval.router import (
     DEFAULT_TOP_K,
@@ -100,7 +101,14 @@ from ..retrieval.router import (
 from ..runtime.runner import TaskRunner
 from ..webtree.node import WebPage
 from .faults import FaultInjector, FaultPlan
-from .ingest import DEFAULT_LIMITS, IngestOutcome, PageCache, ServingLimits, ingest_page
+from .ingest import (
+    DEFAULT_LIMITS,
+    IngestOutcome,
+    PageCache,
+    ServingLimits,
+    ingest_page,
+    ingest_summary,
+)
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,7 @@ class ServingResult:
     #: Retry attempts spent across ingest and predict.
     retries: int = 0
     ingest_seconds: float = 0.0
+    #: This request's own predict time (its page alone, not its batch).
     predict_seconds: float = 0.0
 
     @property
@@ -293,176 +302,51 @@ class _Deadline:
         return time.monotonic() - self.started
 
 
-@dataclass
-class ServiceStats:
-    """Counters and stage timings for one :class:`QAService`.
+def service_counters() -> Counters:
+    """The counters of one :class:`QAService`.
 
-    Mutations go through the record methods, which serialize concurrent
-    callers (one service instance legitimately serves many threads).
+    ``ingest_seconds``/``predict_seconds`` are *busy* seconds summed per
+    call, so concurrent calls overlap: they measure work done, never
+    elapsed time.  ``span_started``/``span_ended`` are the monotonic
+    activity window (earliest call start, latest call end).
+    ``rollbacks`` counts explicit rollbacks and refits rejected in
+    favour of the serving version.
     """
+    return Counters(
+        requests=0, batches=0, max_batch_size=0, ingest_seconds=0.0,
+        predict_seconds=0.0, span_started=None, span_ended=None,
+        requests_by_route={}, retries=0, failures=0, failures_by_stage={},
+        rejected=0, deadline_exceeded=0, degraded=0, hot_swaps=0,
+        rollbacks=0,
+        maxima=("max_batch_size", "span_ended"),
+        minima=("span_started",),
+    )
 
-    requests: int = 0
-    batches: int = 0
-    max_batch_size: int = 0
-    #: *Busy* seconds summed per call — with concurrent callers these
-    #: overlap in wall-clock, so they measure work done, never elapsed
-    #: time (see :meth:`throughput` vs :meth:`busy_throughput`).
-    ingest_seconds: float = 0.0
-    predict_seconds: float = 0.0
-    #: Monotonic activity window across every recorded call: earliest
-    #: call start and latest call end.  ``requests / span`` is honest
-    #: wall-clock throughput even when calls overlap.
-    span_started: "float | None" = None
-    span_ended: "float | None" = None
-    requests_by_route: dict[str, int] = field(default_factory=dict)
-    # -- resilience counters (PR 6) --------------------------------------
-    retries: int = 0
-    failures: int = 0
-    failures_by_stage: dict[str, int] = field(default_factory=dict)
-    rejected: int = 0
-    deadline_exceeded: int = 0
-    degraded: int = 0
-    #: Broken worker pools discarded and rebuilt (mirrors the runner).
-    pools_broken: int = 0
-    #: Live-route tool hot-swaps (re-register / live-corpus refit).
-    hot_swaps: int = 0
-    #: Refit outcomes rejected in favour of the serving version
-    #: (failure, deadline, held-out regression) plus explicit rollbacks.
-    rollbacks: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.max_batch_size = max(self.max_batch_size, size)
+def service_summary(counts: dict, pools_broken: int = 0) -> dict:
+    """The ``health()["stats"]`` view of a service counters snapshot.
 
-    def record_requests(
-        self,
-        count: int,
-        by_route: dict[str, int],
-        ingest_seconds: float,
-        predict_seconds: float,
-        started: "float | None" = None,
-        ended: "float | None" = None,
-    ) -> None:
-        """Fold one ``ask_many`` call's counters in atomically.
-
-        ``started``/``ended`` are the call's monotonic wall-clock
-        bounds; they extend the stats-wide activity span, which is kept
-        *separately* from the per-stage busy seconds — concurrent calls
-        overlap in wall-clock, so summing their stage seconds would
-        over-report elapsed time (the pre-gateway accounting bug).
-        """
-        with self._lock:
-            self.requests += count
-            self.ingest_seconds += ingest_seconds
-            self.predict_seconds += predict_seconds
-            if started is not None:
-                self.span_started = (
-                    started
-                    if self.span_started is None
-                    else min(self.span_started, started)
-                )
-            if ended is not None:
-                self.span_ended = (
-                    ended
-                    if self.span_ended is None
-                    else max(self.span_ended, ended)
-                )
-            for route, route_count in by_route.items():
-                self.requests_by_route[route] = (
-                    self.requests_by_route.get(route, 0) + route_count
-                )
-
-    def record_results(self, results: "list[ServingResult]") -> None:
-        """Fold one call's per-request outcomes into the resilience counters."""
-        with self._lock:
-            for result in results:
-                self.retries += result.retries
-                if result.degraded:
-                    self.degraded += 1
-                error = result.error
-                if error is None:
-                    continue
-                self.failures += 1
-                self.failures_by_stage[error.stage] = (
-                    self.failures_by_stage.get(error.stage, 0) + 1
-                )
-                if isinstance(error, RejectedError):
-                    self.rejected += 1
-                if isinstance(error, DeadlineExceeded):
-                    self.deadline_exceeded += 1
-
-    def set_pools_broken(self, count: int) -> None:
-        with self._lock:
-            self.pools_broken = count
-
-    def record_swap(self) -> None:
-        with self._lock:
-            self.hot_swaps += 1
-
-    def record_rollback(self) -> None:
-        with self._lock:
-            self.rollbacks += 1
-
-    def mean_batch_size(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
-    def busy_seconds(self) -> float:
-        """Work done across all callers (stage seconds; overlaps sum)."""
-        return self.ingest_seconds + self.predict_seconds
-
-    def span_seconds(self) -> float:
-        """Wall-clock activity window: first call start → last call end."""
-        if self.span_started is None or self.span_ended is None:
-            return 0.0
-        return max(0.0, self.span_ended - self.span_started)
-
-    def throughput(self) -> float:
-        """Answered pages per *wall-clock* second over the activity span.
-
-        Falls back to the busy-time rate when no span was recorded
-        (stats populated by hand, e.g. in unit tests).
-        """
-        span = self.span_seconds()
-        if span > 0:
-            return self.requests / span
-        return self.busy_throughput()
-
-    def busy_throughput(self) -> float:
-        """Pages per second of *busy* time (ingest + predict work done).
-
-        With one caller this equals wall-clock throughput; with N
-        concurrent callers the busy seconds overlap and this measures
-        per-lane service rate, not aggregate QPS — use
-        :meth:`throughput` for capacity claims.
-        """
-        busy = self.busy_seconds()
-        return self.requests / busy if busy > 0 else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "mean_batch_size": round(self.mean_batch_size(), 2),
-            "max_batch_size": self.max_batch_size,
-            "ingest_seconds": self.ingest_seconds,
-            "predict_seconds": self.predict_seconds,
-            "busy_seconds": self.busy_seconds(),
-            "span_seconds": self.span_seconds(),
-            "throughput_pages_per_s": round(self.throughput(), 2),
-            "busy_pages_per_s": round(self.busy_throughput(), 2),
-            "requests_by_route": dict(self.requests_by_route),
-            "retries": self.retries,
-            "failures": self.failures,
-            "failures_by_stage": dict(self.failures_by_stage),
-            "rejected": self.rejected,
-            "deadline_exceeded": self.deadline_exceeded,
-            "degraded": self.degraded,
-            "pools_broken": self.pools_broken,
-            "hot_swaps": self.hot_swaps,
-            "rollbacks": self.rollbacks,
-        }
+    ``pools_broken`` is the runner's count of rebuilt worker pools (the
+    runner keeps it; the view reports it beside the counters).
+    Throughput is pages per wall-clock second of the activity span,
+    honest under concurrent callers; without a span (counters added by
+    hand) it falls back to the busy rate, which with N concurrent
+    callers is the per-lane service rate, not aggregate QPS.
+    """
+    summary = dict(counts)
+    started, ended = summary.pop("span_started"), summary.pop("span_ended")
+    requests = counts["requests"]
+    busy = counts["ingest_seconds"] + counts["predict_seconds"]
+    span = max(0.0, ended - started) if None not in (started, ended) else 0.0
+    summary.update(
+        pools_broken=pools_broken,
+        mean_batch_size=ratio(requests, counts["batches"]),
+        busy_seconds=busy,
+        span_seconds=span,
+        throughput_pages_per_s=ratio(requests, span or busy),
+        busy_pages_per_s=ratio(requests, busy),
+    )
+    return summary
 
 
 class _ToolVersion:
@@ -553,10 +437,11 @@ class _RouteState:
             return not self._draining
 
 
-def _predict_page(payload: tuple) -> "tuple[tuple[str, ...], bool]":
+def _predict_page(payload: tuple) -> "tuple[tuple[str, ...], bool, float]":
     """Answer one page; module-level so process pools can pickle it.
 
-    Returns ``(answer, degraded)``.  The fault hook runs first (it may
+    Returns ``(answer, degraded, seconds)``, where ``seconds`` times this
+    page alone, fault hook included.  The fault hook runs first (it may
     raise, sleep, or kill the worker — that is its job); an organic
     *compiled*-plan failure falls back to the AST interpreter, which
     evaluates the same program over the same eval state — a correct
@@ -564,16 +449,19 @@ def _predict_page(payload: tuple) -> "tuple[tuple[str, ...], bool]":
     keeps the downgrade observable.
     """
     tool, page, index, attempt, injector, allow_exit = payload
+    started = time.perf_counter()
     if injector is not None:
         injector.before_predict(index, attempt, allow_exit=allow_exit)
         if injector.breaks_compiled(index):
-            return tool.predict_interpreted(page), True
+            answer = tool.predict_interpreted(page)
+            return answer, True, time.perf_counter() - started
     try:
-        return tool.predict(page), False
+        answer, degraded = tool.predict(page), False
     except (NotFittedError, ServingError):
         raise
     except Exception:
-        return tool.predict_interpreted(page), True
+        answer, degraded = tool.predict_interpreted(page), True
+    return answer, degraded, time.perf_counter() - started
 
 
 class QAService:
@@ -650,7 +538,7 @@ class QAService:
         self.backend = backend
         self.max_batch = max_batch
         self.cache = PageCache(capacity=page_cache_size)
-        self.stats = ServiceStats()
+        self.stats = service_counters()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
@@ -724,10 +612,10 @@ class QAService:
                 clock=self._clock,
             )
             self._routes[route] = _RouteState(tool, version, breaker)
-            self.stats.requests_by_route.setdefault(route, 0)
+            self.stats.add(requests_by_route={route: 0})
         else:
             state.swap(tool, version)
-            self.stats.record_swap()
+            self.stats.add(hot_swaps=1)
         return tool
 
     def unregister(self, route: str) -> None:
@@ -768,7 +656,7 @@ class QAService:
                 f"route {route!r} has no previous version to roll back to",
                 route=route,
             )
-        self.stats.record_rollback()
+        self.stats.add(rollbacks=1)
         return restored.version
 
     def route_version(self, route: str) -> str:
@@ -875,9 +763,10 @@ class QAService:
         so a feed reloading the store mid-question cannot mix two
         generations (or lose a candidate page it replaced).  Each
         candidate loads memory → disk: its cache's page when present,
-        else the snapshot's planes, which the load then caches (counted
-        as an ingest ``store_hit``).  Fingerprints are content digests,
-        so a cached page is never stale.
+        else the snapshot's planes, which the load then caches.  Either
+        way the candidate counts as one ingested page, a rehydrated one
+        also as an ingest ``store_hit``.  Fingerprints are content
+        digests, so a cached page is never stale.
         """
         if self.store is None:
             raise IngestError(
@@ -905,8 +794,11 @@ class QAService:
                     cache=cache if cache.capacity > 0 else None,
                 )
                 page, degraded = loaded
-                if not loaded.cache_hit:
-                    cache.stats.record_store_hit(degraded=degraded)
+                cache.stats.add(
+                    pages_ingested=1,
+                    store_hits=int(not loaded.cache_hit),
+                    pages_degraded=int(degraded),
+                )
                 requests.append(
                     ServingRequest(
                         route=route,
@@ -958,8 +850,10 @@ class QAService:
             "circuits": {r: s.breaker.state for r, s in states},
             "versions": {r: s.current.version for r, s in states},
             "epochs": {r: s.epoch for r, s in states},
-            "stats": self.stats.as_dict(),
-            "ingest": self.cache.stats.as_dict(),
+            "stats": service_summary(
+                self.stats.snapshot(), self._runner.pools_broken
+            ),
+            "ingest": ingest_summary(self.cache.stats.snapshot()),
             # One generation covers the store's pages and postings.
             "store": self.store.stat() if self.store is not None else None,
         }
@@ -1069,6 +963,7 @@ class QAService:
         # changing the tool mid-batch.
         pinned: "dict[str, tuple[_RouteState, _ToolVersion]]" = {}
         admitted = self._admit(len(normalized))
+        batches = largest = 0
         try:
             for position in range(admitted, len(normalized)):
                 results[position].error = RejectedError(
@@ -1161,16 +1056,12 @@ class QAService:
                 breaker = state.breaker
                 for offset in range(0, len(positions), self.max_batch):
                     batch = positions[offset : offset + self.max_batch]
-                    batch_start = time.perf_counter()
                     self._predict_batch(
                         tool, route, batch, pages, results, deadline, strict
                     )
-                    # Counted only after the dispatch, so a raising batch
-                    # cannot permanently skew the batches/requests ratio.
-                    self.stats.record_batch(len(batch))
-                    per_request = (time.perf_counter() - batch_start) / len(batch)
+                    batches += 1
+                    largest = max(largest, len(batch))
                     for position in batch:
-                        results[position].predict_seconds = per_request
                         error = results[position].error
                         if error is None:
                             breaker.record_success()
@@ -1178,26 +1069,46 @@ class QAService:
                             breaker.record_failure()
             predict_seconds = time.perf_counter() - start
 
-            by_route_counts: dict[str, int] = {}
-            for request in normalized:
-                by_route_counts[request.route] = (
-                    by_route_counts.get(request.route, 0) + 1
-                )
-            self.stats.record_requests(
-                count=len(normalized),
-                by_route=by_route_counts,
+            route_counts: dict[str, int] = {}
+            by_stage: dict[str, int] = {}
+            retries = degraded = rejected = deadline_exceeded = 0
+            for request, result in zip(normalized, results):
+                # Route names come from callers, so only registered
+                # routes get a counter; others fail at stage "route".
+                if request.route in self._routes:
+                    route = request.route
+                    route_counts[route] = route_counts.get(route, 0) + 1
+                retries += result.retries
+                degraded += result.degraded
+                error = result.error
+                if error is not None:
+                    by_stage[error.stage] = by_stage.get(error.stage, 0) + 1
+                    rejected += isinstance(error, RejectedError)
+                    deadline_exceeded += isinstance(error, DeadlineExceeded)
+            # The whole call lands under one lock acquisition, and only
+            # once it answered: a call that raises (strict mode) counts
+            # nothing, so requests/batches stay one call's pair.
+            self.stats.add(
+                requests=len(normalized),
+                batches=batches,
+                max_batch_size=largest,
+                requests_by_route=route_counts,
+                retries=retries,
+                degraded=degraded,
+                failures=sum(by_stage.values()),
+                failures_by_stage=by_stage,
+                rejected=rejected,
+                deadline_exceeded=deadline_exceeded,
                 ingest_seconds=ingest_seconds,
                 predict_seconds=predict_seconds,
-                started=deadline.started,
-                ended=time.monotonic(),
+                span_started=deadline.started,
+                span_ended=time.monotonic(),
             )
-            self.stats.record_results(results)
             return results
         finally:
             for state, version in pinned.values():
                 state.release(version)
             self._release(admitted)
-            self.stats.set_pools_broken(self._runner.pools_broken)
 
     # -- stage helpers -----------------------------------------------------------
 
@@ -1307,10 +1218,11 @@ class QAService:
                     if strict:
                         raise error
                 else:
-                    answer, degraded = out
+                    answer, degraded, seconds = out
                     result.answer = answer
                     result.degraded = result.degraded or degraded
                     result.retries += attempts[position]
+                    result.predict_seconds = seconds
             if retry:
                 round_attempt = min(attempts[position] for position in retry) - 1
                 self._backoff(round_attempt, f"predict:{route}", deadline)

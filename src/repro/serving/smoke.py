@@ -130,10 +130,11 @@ def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
     if answers_again != answers:
         failures += 1
         print("MISMATCH: warm-cache pass differs from cold pass", file=sys.stderr)
-    if service.cache.stats.cache_hits < len(requests):
+    cache_hits = service.cache.stats.snapshot()["cache_hits"]
+    if cache_hits < len(requests):
         failures += 1
         print(
-            f"PAGE CACHE INEFFECTIVE: {service.cache.stats.cache_hits} hits "
+            f"PAGE CACHE INEFFECTIVE: {cache_hits} hits "
             f"over {2 * len(requests)} requests",
             file=sys.stderr,
         )
@@ -145,8 +146,9 @@ def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
             f"during load+serve (must be 0)",
             file=sys.stderr,
         )
-    print(json.dumps(service.stats.as_dict(), indent=2))
-    print(json.dumps({"page_cache": service.cache.stats.as_dict()}, indent=2))
+    health = service.health()
+    print(json.dumps(health["stats"], indent=2))
+    print(json.dumps({"page_cache": health["ingest"]}, indent=2))
     if failures:
         print(f"serving smoke FAILED: {failures} problem(s)", file=sys.stderr)
         return 1
@@ -223,7 +225,7 @@ def run_corpus_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
     if answers_again != answers:
         failures += 1
         print("MISMATCH: warm-cache pass differs from cold pass", file=sys.stderr)
-    store_hits = service.cache.stats.store_hits
+    store_hits = service.cache.stats.snapshot()["store_hits"]
     if store_hits < len(requests):
         failures += 1
         print(
@@ -248,8 +250,9 @@ def run_corpus_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
             f"calls during load+serve (must be 0)",
             file=sys.stderr,
         )
-    print(json.dumps(service.stats.as_dict(), indent=2))
-    print(json.dumps({"page_cache": service.cache.stats.as_dict()}, indent=2))
+    health = service.health()
+    print(json.dumps(health["stats"], indent=2))
+    print(json.dumps({"page_cache": health["ingest"]}, indent=2))
     if failures:
         print(f"corpus smoke FAILED: {failures} problem(s)", file=sys.stderr)
         return 1
@@ -351,11 +354,11 @@ def _route_every_task(
                 print(f"NO ANSWER routed for {task_id}", file=sys.stderr)
             # The second ask of a route finds every candidate in the
             # page cache: no plane is read from disk.
-            stats = service.cache.stats
-            hits, rehydrated = stats.cache_hits, stats.store_hits
+            before = service.cache.stats.snapshot()
             again = service.ask_corpus(task_id, top_k=top_k)
-            hits = stats.cache_hits - hits
-            rehydrated = stats.store_hits - rehydrated
+            after = service.cache.stats.snapshot()
+            hits = after["cache_hits"] - before["cache_hits"]
+            rehydrated = after["store_hits"] - before["store_hits"]
             if rehydrated or hits != len(routed.candidates):
                 failures += 1
                 print(

@@ -175,7 +175,7 @@ def _caches(front):
 
 
 def _cache_hits(front):
-    return sum(cache.stats.cache_hits for cache in _caches(front))
+    return sum(cache.stats.snapshot()["cache_hits"] for cache in _caches(front))
 
 
 def _cached(front, fingerprint):
@@ -201,6 +201,33 @@ def test_warm_equals_cold_on_every_route(rig, kind):
             )
             assert uncached == first == second == scanned, task_id
         assert all(len(cache) == 0 for cache in _caches(cold))
+
+
+@pytest.mark.parametrize("kind", ["service", "gateway"])
+def test_warm_candidates_count_as_ingested(rig, kind):
+    """Each candidate counts as one ingested page, cached or rehydrated."""
+    service, path = rig
+
+    def counts(front):
+        snapshots = [cache.stats.snapshot() for cache in _caches(front)]
+        return {
+            key: sum(snapshot[key] for snapshot in snapshots)
+            for key in ("pages_ingested", "cache_hits", "store_hits")
+        }
+
+    with _front(kind, path, 256) as front:
+        front.register("fac_t1", service.tool("fac_t1"))
+        cold = front.ask_corpus("fac_t1", top_k=8)
+        assert counts(front)["pages_ingested"] == len(cold.candidates)
+        for _ in range(2):
+            before = counts(front)
+            warm = front.ask_corpus("fac_t1", top_k=8)
+            after = counts(front)
+            candidates = len(warm.candidates)
+            assert candidates > 0
+            assert after["pages_ingested"] - before["pages_ingested"] == candidates
+            assert after["cache_hits"] - before["cache_hits"] == candidates
+            assert after["store_hits"] == before["store_hits"]
 
 
 @pytest.mark.parametrize("kind", ["service", "gateway"])
@@ -293,7 +320,7 @@ def test_candidates_carry_store_provenance(rig, tmp_path):
 
         target.ask_many = spy
         for cache_hit in (False, True):
-            flagged = target.stats.degraded
+            flagged = target.stats.snapshot()["degraded"]
             answer = target.ask_corpus("fac_t1", top_k=None)
             results = seen.pop()
             assert [r.fingerprint for r in results] == [
@@ -304,4 +331,4 @@ def test_candidates_carry_store_provenance(rig, tmp_path):
                 assert result.ok
                 assert result.cache_hit is cache_hit
                 assert result.degraded == (result.fingerprint in degraded)
-            assert target.stats.degraded - flagged == 1
+            assert target.stats.snapshot()["degraded"] - flagged == 1

@@ -15,8 +15,8 @@ from repro.serving.corpus import (
     dataset_documents,
 )
 from repro.serving.ingest import (
-    IngestStats,
     PageCache,
+    ingest_counters,
     ingest_page,
     page_fingerprint,
 )
@@ -58,14 +58,13 @@ class TestIngestStoreIntegration:
 
     def test_store_hit_skips_parse_and_counts(self, tmp_path):
         store = self._store(tmp_path)
-        stats = IngestStats()
+        stats = ingest_counters()
         parses_before = parse_call_count()
         outcome = ingest_page(HTML_A, "a", stats=stats, store=store)
         assert outcome.store_hit
         assert not outcome.cache_hit
         assert parse_call_count() == parses_before
-        assert stats.store_hits == 1
-        assert stats.as_dict()["store_hits"] == 1
+        assert stats.snapshot()["store_hits"] == 1
         assert "Jane" in outcome.page.root.subtree_text()
 
     def test_store_hit_promotes_into_cache(self, tmp_path):
@@ -79,19 +78,18 @@ class TestIngestStoreIntegration:
 
     def test_store_miss_parses(self, tmp_path):
         store = self._store(tmp_path)
-        stats = IngestStats()
+        stats = ingest_counters()
         outcome = ingest_page(HTML_B, "b", stats=stats, store=store)
         assert not outcome.store_hit
-        assert stats.store_hits == 0
+        assert stats.snapshot()["store_hits"] == 0
 
     def test_parse_fallback_counted_in_stats(self):
-        stats = IngestStats()
+        stats = ingest_counters()
         # `<a x=>` sits outside the fast-scanner subset: the parse
         # succeeds via the stdlib fallback and the ingest stats say so.
         ingest_page("<a x=>y</a>", "f", stats=stats)
         ingest_page(HTML_B, "g", stats=stats)
-        assert stats.parse_fallbacks == 1
-        assert stats.as_dict()["parse_fallbacks"] == 1
+        assert stats.snapshot()["parse_fallbacks"] == 1
 
     def test_writer_populated_through_ingest(self, tmp_path):
         path = str(tmp_path / "built.rpw")
@@ -155,7 +153,7 @@ class TestStoreBackedServiceDifferential:
                 for task_id, artifact in artifacts.items():
                     service.register(task_id, artifact)
                 answers = service.ask_many(requests)
-                return answers, service.cache.stats
+                return answers, service.cache.stats.snapshot()
 
         parsed_answers, parsed_stats = serve(store=None)
         parses_before = parse_call_count()
@@ -165,9 +163,9 @@ class TestStoreBackedServiceDifferential:
         # Same-domain tasks share test pages, so repeats hit the memory
         # cache; the store invariant is that every *miss* resolved from
         # disk (misses + hits cover all requests, no parse leftovers).
-        assert stored_stats.store_hits == stored_stats.cache_misses > 0
+        assert stored_stats["store_hits"] == stored_stats["cache_misses"] > 0
         assert (
-            stored_stats.cache_hits + stored_stats.cache_misses
+            stored_stats["cache_hits"] + stored_stats["cache_misses"]
             == len(requests)
         )
-        assert parsed_stats.store_hits == 0
+        assert parsed_stats["store_hits"] == 0

@@ -128,7 +128,7 @@ class TestPerRequestIsolation:
         assert isinstance(results[0].error, IngestError)
         assert results[0].error.stage == "ingest"
         assert all(r.ok for r in results[1:])
-        assert service.stats.failures_by_stage == {"ingest": 1}
+        assert service.stats.snapshot()["failures_by_stage"] == {"ingest": 1}
 
     def test_strict_raises_through(self, fitted):
         _, dataset = fitted
@@ -158,7 +158,7 @@ class TestRetries:
         assert results[0].answer == tool.predict(requests[0].page)
         assert results[0].retries == 2
         assert all(r.retries == 0 for r in results[1:])
-        assert service.stats.retries == 2
+        assert service.stats.snapshot()["retries"] == 2
 
     def test_retry_budget_exhausts(self, fitted):
         _, dataset = fitted
@@ -211,7 +211,7 @@ class TestDeadlines:
         assert isinstance(results[0].error, DeadlineExceeded)
         assert results[0].error.stage == "deadline"
         assert not results[0].error.transient
-        assert service.stats.deadline_exceeded >= 1
+        assert service.stats.snapshot()["deadline_exceeded"] >= 1
         assert any(r.ok for r in results[1:])
 
     def test_past_deadline_fails_everything_structured(self, fitted):
@@ -240,7 +240,7 @@ class TestAdmission:
                 isinstance(r.error, RejectedError) and r.error.reason == "overload"
                 for r in results[2:]
             )
-            assert service.stats.rejected == 3
+            assert service.stats.snapshot()["rejected"] == 3
             # Slots were released: the next call admits again.
             again = service.ask_many(requests[:2], strict=False)
             assert all(r.ok for r in again)
@@ -344,7 +344,7 @@ class TestPoolCrash:
             # retried on a rebuilt pool and still answered.
             assert all(r.ok for r in results)
             assert results[1].retries >= 1
-            assert service.stats.pools_broken >= 1
+            assert service.health()["stats"]["pools_broken"] >= 1
             assert service.health()["pools_broken"] >= 1
             # The service stays fully usable after the crash.
             service.inject_faults(None)
@@ -361,7 +361,7 @@ class TestPoolCrash:
         # crash shows up as one transient failure, cured by retry.
         assert all(r.ok for r in results)
         assert results[0].retries == 1
-        assert service.stats.pools_broken == 0
+        assert service.health()["stats"]["pools_broken"] == 0
 
 
 class TestDegradation:
@@ -375,7 +375,7 @@ class TestDegradation:
             # Interpreter parity: the degraded path answers identically.
             assert result.answer == tool.predict(request.page)
             assert result.degraded == (index in (0, 2))
-        assert service.stats.degraded == 2
+        assert service.stats.snapshot()["degraded"] == 2
 
     def test_oversized_page_is_bounded_not_fatal(self, fitted):
         tool, dataset = fitted
@@ -388,7 +388,7 @@ class TestDegradation:
             )
         assert results[0].ok
         assert results[0].degraded
-        assert service.cache.stats.pages_degraded == 1
+        assert service.cache.stats.snapshot()["pages_degraded"] == 1
 
     def test_degraded_flag_survives_cache_hit(self, fitted):
         limits = ServingLimits(max_html_chars=2_000)
@@ -483,7 +483,7 @@ class TestKitchenSink:
         assert strict_answers == expected
         assert [r.answer for r in results] == expected
         assert all(r.ok and r.retries == 0 and not r.degraded for r in results)
-        assert service.stats.failures == 0
+        assert service.stats.snapshot()["failures"] == 0
 
 
 class TestHealthSnapshot:

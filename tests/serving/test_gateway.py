@@ -183,7 +183,7 @@ class TestShardAffinity:
             assert gateway.ask_many(requests) == expected
             assert gateway.ask_many(requests) == expected
             for index in range(4):
-                cached = gateway.shard(index).cache.stats.cache_misses
+                cached = gateway.shard(index).cache.stats.snapshot()["cache_misses"]
                 assert cached == homes.count(index)
 
     def test_preparsed_page_requests_served(self, fitted):
@@ -257,8 +257,8 @@ class TestShedding:
                         ingest_html(requests[index].html,
                                     url=requests[index].url)
                     )
-            assert gateway.stats.shed == len(expect_shed)
-            assert gateway.stats.submitted == len(requests)
+            assert gateway.stats.snapshot()["shed"] == len(expect_shed)
+            assert gateway.stats.snapshot()["submitted"] == len(requests)
             health = gateway.health()
             assert health["stats"]["shed"] == len(expect_shed)
 
@@ -291,7 +291,7 @@ class TestShedding:
             gateway.register("fac_t1", tool)
             results = gateway.ask_many(requests, strict=False)
         assert all(result.ok for result in results)
-        assert gateway.stats.shed == 0
+        assert gateway.stats.snapshot()["shed"] == 0
 
     def test_submit_after_close_rejects_structurally(self, fitted):
         tool, dataset = fitted
@@ -375,7 +375,7 @@ class TestHotSwapUnderLoad:
             # version drained on every shard.
             assert gateway.route_versions("fac_t1") == ["v30"] * 3
             assert gateway.route_drained("fac_t1")
-            assert gateway.stats.hot_swaps == 30
+            assert gateway.stats.snapshot()["hot_swaps"] == 30
 
     def test_rollback_fans_out_to_all_shards(self, fitted):
         tool, dataset = fitted
@@ -384,7 +384,7 @@ class TestHotSwapUnderLoad:
             gateway.register("fac_t1", tool, version="v2")
             assert gateway.rollback("fac_t1") == "v1"
             assert gateway.route_versions("fac_t1") == ["v1"] * 3
-            assert gateway.stats.rollbacks == 1
+            assert gateway.stats.snapshot()["rollbacks"] == 1
             want = tool.predict(dataset.test_pages[0])
             assert gateway.ask("fac_t1", page=dataset.test_pages[0]) == want
 
@@ -486,7 +486,7 @@ class TestLiveFeedUnderLoad:
                 task.task_id, html=changed.html, url=victim.page.url
             )
             assert got == want
-            assert gateway.stats.hot_swaps >= int(swap.swapped)
+            assert gateway.stats.snapshot()["hot_swaps"] >= int(swap.swapped)
 
 
 class TestHealthSurface:

@@ -1,6 +1,12 @@
 """Ingestion pipeline: HTML → indexed page, through the bounded cache."""
 
-from repro.serving.ingest import IngestStats, PageCache, ingest_html, page_fingerprint
+from repro.serving.ingest import (
+    PageCache,
+    ingest_counters,
+    ingest_html,
+    ingest_summary,
+    page_fingerprint,
+)
 
 HTML_A = "<h1>Jane</h1><h2>Students</h2><ul><li>Bob</li></ul>"
 HTML_B = "<h1>John</h1><p>Hello</p>"
@@ -31,9 +37,9 @@ class TestIngest:
         first = ingest_html(HTML_A, url="u", cache=cache)
         second = ingest_html(HTML_A, url="u", cache=cache)
         assert second is first
-        assert cache.stats.cache_hits == 1
-        assert cache.stats.cache_misses == 1
-        assert cache.stats.pages_ingested == 2
+        assert cache.stats.snapshot()["cache_hits"] == 1
+        assert cache.stats.snapshot()["cache_misses"] == 1
+        assert cache.stats.snapshot()["pages_ingested"] == 2
 
     def test_lru_eviction_order_and_bound(self):
         cache = PageCache(capacity=2)
@@ -42,7 +48,7 @@ class TestIngest:
         ingest_html(HTML_A, url="a", cache=cache)  # refresh A's recency
         ingest_html("<h1>C</h1>", url="c", cache=cache)  # evicts B, not A
         assert len(cache) == 2
-        assert cache.stats.evictions == 1
+        assert cache.stats.snapshot()["evictions"] == 1
         assert cache.get(page_fingerprint(HTML_A, "a")) is not None
         assert cache.get(page_fingerprint(HTML_B, "b")) is None
 
@@ -63,19 +69,19 @@ class TestInvalidation:
         assert cache.invalidate(fingerprint) is True
         assert cache.get(fingerprint) is None
         assert len(cache) == 0
-        assert cache.stats.invalidations == 1
+        assert cache.stats.snapshot()["invalidations"] == 1
         # The cascade: dropping the cache slot also drops the page's
         # index (TextPlane + memos) so nothing stale can be shared.
         assert page._index is None
         # A later ingest of the same bytes rebuilds from scratch.
         rebuilt = ingest_html(HTML_A, url="u", cache=cache)
         assert rebuilt is not page
-        assert cache.stats.pages_ingested == 2
+        assert cache.stats.snapshot()["pages_ingested"] == 2
 
     def test_invalidate_unknown_fingerprint_is_noop(self):
         cache = PageCache(capacity=4)
         assert cache.invalidate("absent") is False
-        assert cache.stats.invalidations == 0
+        assert cache.stats.snapshot()["invalidations"] == 0
 
     def test_invalidate_degraded_entry(self):
         from repro.serving.ingest import ServingLimits, ingest_page
@@ -86,7 +92,7 @@ class TestInvalidation:
         assert outcome.degraded
         fingerprint = page_fingerprint(HTML_A, "u")
         assert cache.invalidate(fingerprint) is True
-        assert cache.stats.invalidations == 1
+        assert cache.stats.snapshot()["invalidations"] == 1
         # The degraded flag dies with the slot: re-ingest under clean
         # limits serves an undegraded page, not a stale degraded one.
         outcome = ingest_page(HTML_A, "u", cache=cache)
@@ -97,7 +103,7 @@ class TestInvalidation:
         cache = PageCache(capacity=4)
         ingest_html(HTML_A, url="u", cache=cache)
         cache.invalidate(page_fingerprint(HTML_A, "u"))
-        stats = cache.stats.as_dict()
+        stats = ingest_summary(cache.stats.snapshot())
         assert stats["invalidations"] == 1
 
     def test_invalidate_and_evict_count_separately(self):
@@ -105,8 +111,8 @@ class TestInvalidation:
         ingest_html(HTML_A, url="a", cache=cache)
         ingest_html(HTML_B, url="b", cache=cache)  # evicts A
         cache.invalidate(page_fingerprint(HTML_B, "b"))
-        assert cache.stats.evictions == 1
-        assert cache.stats.invalidations == 1
+        assert cache.stats.snapshot()["evictions"] == 1
+        assert cache.stats.snapshot()["invalidations"] == 1
 
     def test_concurrent_ingest_is_safe_and_counts_exactly(self):
         # Hammer one shared cache from many threads: no lost updates on
@@ -128,19 +134,20 @@ class TestInvalidation:
             thread.start()
         for thread in threads:
             thread.join()
-        stats = cache.stats
-        assert stats.pages_ingested == per_thread * n_threads
-        assert stats.cache_hits + stats.cache_misses == per_thread * n_threads
+        stats = cache.stats.snapshot()
+        assert stats["pages_ingested"] == per_thread * n_threads
+        assert stats["cache_hits"] + stats["cache_misses"] == per_thread * n_threads
         assert len(cache) <= 3
 
     def test_stage_timings_accumulate(self):
-        stats = IngestStats()
+        stats = ingest_counters()
         ingest_html(HTML_A, stats=stats)
-        assert stats.parse_seconds > 0
-        assert stats.index_seconds > 0
-        assert stats.pages_ingested == 1
-        assert 0.0 <= stats.hit_rate() <= 1.0
-        assert set(stats.as_dict()) >= {"pages_ingested", "hit_rate"}
+        summary = ingest_summary(stats.snapshot())
+        assert summary["parse_seconds"] > 0
+        assert summary["index_seconds"] > 0
+        assert summary["pages_ingested"] == 1
+        assert 0.0 <= summary["hit_rate"] <= 1.0
+        assert set(summary) >= {"pages_ingested", "hit_rate"}
 
 
 class TestServingLimits:
@@ -198,11 +205,11 @@ class TestServingLimits:
 
 
 class TestLockingDiscipline:
-    """Satellite fix: every IngestStats mutation goes through record_*."""
+    """Every ingest counter mutation goes through ``Counters.add``."""
 
     def test_counters_only_mutated_under_stats_lock(self):
         # The discipline is structural: grep-level assertion that the
-        # cache never touches stats fields directly (the pre-PR-6 bug
+        # cache never touches stats fields directly (an earlier bug
         # mutated cache_hits/misses/evictions under the *cache* lock).
         import inspect
 
@@ -214,7 +221,7 @@ class TestLockingDiscipline:
             ".cache_hits=", ".cache_misses=",
         ):
             assert direct_mutation not in source
-        assert "record_lookup" in source
+        assert "self.stats.add(" in source
 
     def test_concurrent_mixed_hits_misses_evictions_count_exactly(self):
         import threading
@@ -235,11 +242,11 @@ class TestLockingDiscipline:
             thread.start()
         for thread in threads:
             thread.join()
-        stats = cache.stats
+        stats = cache.stats.snapshot()
         total = per_thread * n_threads
-        assert stats.pages_ingested == total
-        assert stats.cache_hits + stats.cache_misses == total
+        assert stats["pages_ingested"] == total
+        assert stats["cache_hits"] + stats["cache_misses"] == total
         # Evictions happened (4 pages through a 2-slot cache) and were
         # recorded without tearing.
-        assert stats.evictions > 0
+        assert stats["evictions"] > 0
         assert len(cache) <= 2

@@ -97,7 +97,7 @@ class TestFeed:
             assert not report.unchanged
             assert report.generation == 1
             assert report.invalidated
-            assert rig.service.cache.stats.invalidations == 1
+            assert rig.service.cache.stats.snapshot()["invalidations"] == 1
             assert report.previous_fingerprint == page_fingerprint(
                 target.html, target.page.url
             )
@@ -108,7 +108,7 @@ class TestFeed:
             (swap,) = report.swaps
             assert swap.swapped and swap.reason == ""
             assert rig.service.route_version(task_id) == swap.version
-            assert rig.service.stats.hot_swaps == 1
+            assert rig.service.stats.snapshot()["hot_swaps"] == 1
             # And the swapped version id is the artifact fingerprint of
             # the tool now serving.
             serving = rig.service.tool(task_id)
@@ -124,7 +124,7 @@ class TestFeed:
             assert report.unchanged
             assert report.generation == 0
             assert not report.swaps
-            assert rig.service.stats.hot_swaps == 0
+            assert rig.service.stats.snapshot()["hot_swaps"] == 0
         finally:
             rig.close()
 
@@ -178,7 +178,7 @@ class TestRollback:
             assert not swap.swapped
             assert swap.reason == "refit-error"
             assert rig.service.route_version(task_id) == version
-            assert rig.service.stats.rollbacks == 1
+            assert rig.service.stats.snapshot()["rollbacks"] == 1
             # The corpus update itself stuck (publish precedes refit):
             # the route just keeps answering on its previous program.
             assert report.fingerprint in rig.service.store
@@ -198,7 +198,7 @@ class TestRollback:
             (swap,) = report.swaps
             assert not swap.swapped
             assert swap.reason == "refit-deadline"
-            assert rig.service.stats.rollbacks == 1
+            assert rig.service.stats.snapshot()["rollbacks"] == 1
         finally:
             rig.close()
 
@@ -219,7 +219,7 @@ class TestRollback:
             assert not swap.swapped
             assert swap.reason == "holdout-regression"
             assert swap.holdout_f1 >= 0.0  # the candidate was scored
-            assert rig.service.stats.rollbacks == 1
+            assert rig.service.stats.snapshot()["rollbacks"] == 1
         finally:
             rig.close()
 
@@ -258,7 +258,7 @@ class TestCrashPaths:
             assert rig.live._urls[target.page.url] == page_fingerprint(
                 target.html, target.page.url
             )
-            assert rig.service.stats.hot_swaps == 0
+            assert rig.service.stats.snapshot()["hot_swaps"] == 0
             # A clean retry of the same feed succeeds.
             rig.live._injector = None
             report = rig.live.feed(changed.html, target.page.url)

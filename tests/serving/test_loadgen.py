@@ -93,6 +93,16 @@ class TestRunLoad:
         assert health["queue_depths"] == [0] * TINY.shards
         assert health["pools_broken"] == [0] * TINY.shards
 
+    def test_gateway_health_keys_are_pinned(self, payload):
+        health = payload["gateway_health"]
+        assert set(health) == {"queue_depths", "pools_broken", "stats"}
+        # The gateway counters; the last two record queue wait.
+        assert set(health["stats"]) == {
+            "submitted", "shed", "shed_rate", "batches", "mean_batch_size",
+            "max_batch_size", "hot_swaps", "rollbacks",
+            "queue_wait_seconds", "mean_queue_wait_ms",
+        }
+
     def test_tiny_run_passes_its_own_gate(self, payload):
         assert check_serving(payload) == []
         # And against itself as baseline (p95 scale 1.0).

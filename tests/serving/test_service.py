@@ -12,7 +12,12 @@ from repro.core.webqa import WebQA
 from repro.dataset.corpus import load_task_dataset
 from repro.dataset.tasks import TASKS_BY_ID
 from repro.serving.ingest import ingest_html
-from repro.serving.service import QAService, ServingRequest
+from repro.serving.service import (
+    QAService,
+    ServingRequest,
+    service_counters,
+    service_summary,
+)
 from repro.webtree.html_out import page_to_html
 
 SCALE = dict(n_pages=6, n_train=3, seed=0)
@@ -119,7 +124,7 @@ class TestDifferential:
             for thread in threads:
                 thread.join()
             assert not failures
-            assert service.stats.requests == 6 * 3 * len(requests)
+            assert service.stats.snapshot()["requests"] == 6 * 3 * len(requests)
 
     def test_html_requests_match_page_requests(self, fitted):
         service = QAService(max_batch=4)
@@ -128,9 +133,10 @@ class TestDifferential:
         requests, expected = _requests_for(fitted, as_html=True)
         assert service.ask_many(requests) == expected
         # And again, warm: answered from the page cache, same results.
-        hits_before = service.cache.stats.cache_hits
+        hits_before = service.cache.stats.snapshot()["cache_hits"]
         assert service.ask_many(requests) == expected
-        assert service.cache.stats.cache_hits >= hits_before + len(requests)
+        hits = service.cache.stats.snapshot()["cache_hits"]
+        assert hits >= hits_before + len(requests)
 
     def test_tuple_requests_accepted(self, fitted):
         tool, dataset = fitted["fac_t1"]
@@ -148,16 +154,15 @@ class TestStats:
             service.register(task_id, tool.export_artifact())
         requests, _ = _requests_for(fitted, as_html=True)
         service.ask_many(requests)
-        stats = service.stats
-        assert stats.requests == len(requests)
+        summary = service.health()["stats"]
+        assert summary["requests"] == len(requests)
         # max_batch=2 over 3 pages/route → two batches per route.
-        assert stats.batches == 4
-        assert stats.max_batch_size == 2
-        assert 0 < stats.mean_batch_size() <= 2
-        assert stats.ingest_seconds > 0
-        assert stats.predict_seconds > 0
-        assert stats.throughput() > 0
-        summary = stats.as_dict()
+        assert summary["batches"] == 4
+        assert summary["max_batch_size"] == 2
+        assert summary["ingest_seconds"] > 0
+        assert summary["predict_seconds"] > 0
+        assert 0 < summary["mean_batch_size"] <= 2
+        assert summary["throughput_pages_per_s"] > 0
         assert summary["requests_by_route"] == {"fac_t1": 3, "clinic_t5": 3}
 
     def test_span_vs_busy_accounting_single_caller(self, fitted):
@@ -166,21 +171,23 @@ class TestStats:
             service.register(task_id, tool.export_artifact())
         requests, _ = _requests_for(fitted, as_html=True)
         service.ask_many(requests)
-        stats = service.stats
+        counts = service.stats.snapshot()
         # One caller: a real wall-clock window was recorded, and it
         # covers at least the busy time (span includes batching/waiting
         # overhead the stage clocks don't see).
-        assert stats.span_started is not None
-        assert stats.span_ended is not None
-        assert stats.span_seconds() >= stats.busy_seconds() > 0
-        assert stats.throughput() == pytest.approx(
-            stats.requests / stats.span_seconds()
+        assert counts["span_started"] is not None
+        assert counts["span_ended"] is not None
+        span = counts["span_ended"] - counts["span_started"]
+        busy = counts["ingest_seconds"] + counts["predict_seconds"]
+        assert span >= busy > 0
+        summary = service_summary(counts)
+        assert summary["throughput_pages_per_s"] == pytest.approx(
+            counts["requests"] / span, rel=0.01
         )
-        summary = stats.as_dict()
-        assert summary["span_seconds"] == pytest.approx(stats.span_seconds())
-        assert summary["busy_seconds"] == pytest.approx(stats.busy_seconds())
+        assert summary["span_seconds"] == pytest.approx(span)
+        assert summary["busy_seconds"] == pytest.approx(busy)
         assert summary["busy_pages_per_s"] == pytest.approx(
-            stats.busy_throughput(), rel=0.01
+            counts["requests"] / busy, rel=0.01
         )
 
     def test_concurrent_callers_span_is_wall_clock_not_summed(self, fitted):
@@ -212,22 +219,25 @@ class TestStats:
             for thread in threads:
                 thread.join()
             wall = time_module.monotonic() - wall_started
-            stats = service.stats
+            summary = service.health()["stats"]
             # The span covers the overlapping burst once, not N times.
-            assert stats.span_seconds() <= wall * 1.5 + 0.1
-            assert stats.throughput() > 0
+            assert summary["span_seconds"] <= wall * 1.5 + 0.1
+            assert summary["throughput_pages_per_s"] > 0
 
     def test_throughput_falls_back_to_busy_rate_without_span(self):
-        from repro.serving.service import ServiceStats
-
-        stats = ServiceStats()
-        stats.record_requests(
-            10, {"r": 10}, ingest_seconds=1.0, predict_seconds=1.0
+        stats = service_counters()
+        stats.add(
+            requests=10,
+            requests_by_route={"r": 10},
+            ingest_seconds=1.0,
+            predict_seconds=1.0,
         )
-        # Hand-populated stats (no started/ended): no span exists, the
-        # busy rate is the only defensible number.
-        assert stats.span_seconds() == 0.0
-        assert stats.throughput() == stats.busy_throughput() == 5.0
+        # Hand-populated counters (no started/ended): no span exists,
+        # the busy rate is the only defensible number.
+        summary = service_summary(stats.snapshot())
+        assert summary["span_seconds"] == 0.0
+        assert summary["throughput_pages_per_s"] == 5.0
+        assert summary["busy_pages_per_s"] == 5.0
 
     def test_inflight_tracked_even_unbounded(self, fitted):
         tool, dataset = fitted["fac_t1"]
@@ -254,7 +264,7 @@ class TestHotSwap:
         service.register("fac_t1", tool, version="v1")
         breaker = service.breaker("fac_t1")
         service.ask("fac_t1", page=dataset.test_pages[0])
-        counters = dict(service.stats.requests_by_route)
+        counters = dict(service.stats.snapshot()["requests_by_route"])
         # Accumulate failure history *after* the successful request so a
         # success cannot legitimately clear it before the swap.
         breaker.record_failure()
@@ -262,9 +272,9 @@ class TestHotSwap:
         service.register("fac_t1", tool, version="v2")
         assert service.breaker("fac_t1") is breaker
         assert breaker._consecutive_failures == 2
-        assert service.stats.requests_by_route == counters
+        assert service.stats.snapshot()["requests_by_route"] == counters
         assert service.route_version("fac_t1") == "v2"
-        assert service.stats.hot_swaps == 1
+        assert service.stats.snapshot()["hot_swaps"] == 1
 
     def test_swap_is_atomic_under_concurrent_askers(self, fitted):
         import threading
@@ -302,7 +312,7 @@ class TestHotSwap:
             for thread in threads:
                 thread.join()
             assert not failures
-            assert service.stats.hot_swaps == 50
+            assert service.stats.snapshot()["hot_swaps"] == 50
             assert service.route_version("fac_t1") == "v50"
             # Every retired version must drain once callers are gone.
             assert service.route_drained("fac_t1")
@@ -318,7 +328,7 @@ class TestHotSwap:
         service.register("fac_t1", tool, version="v2")
         assert service.rollback("fac_t1") == "v1"
         assert service.route_version("fac_t1") == "v1"
-        assert service.stats.rollbacks == 1
+        assert service.stats.snapshot()["rollbacks"] == 1
         # The route still serves after the rollback.
         want = tool.predict(dataset.test_pages[0])
         assert service.ask("fac_t1", page=dataset.test_pages[0]) == want
