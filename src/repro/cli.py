@@ -351,12 +351,13 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_stat(args: argparse.Namespace) -> int:
-    """Stand up a small sharded gateway, drive a burst, print health.
+    """Stand up a small gateway, drive a burst, print health.
 
-    The operator's-eye view of :meth:`ServingGateway.health`: per-shard
-    queue depth, in-flight, pool/dispatcher liveness, breaker state and
-    route versions, plus the gateway batching/shedding counters — over
-    a seeded synthetic burst so the numbers are reproducible.
+    The operator's-eye view of :meth:`ServingGateway.health`: one row
+    for the service (in-flight, pool, breakers, route versions) and one
+    per lane (queue depth, dispatcher liveness), plus the gateway
+    batching/shedding counters — over a seeded synthetic burst so the
+    numbers are reproducible.
     """
     from .serving.gateway import ServingGateway
     from .serving.loadgen import LoadConfig, build_workload
@@ -378,12 +379,13 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
         gateway.ask_many(stream, strict=False)
         health = gateway.health()
 
-    stats = health["stats"]
-    print(f"shards: {health['shards']}  closed: {health['closed']}")
+    stats, service = health["stats"], health["service"]
+    served = service["stats"]
+    print(f"lanes: {health['shards']}  closed: {health['closed']}")
     print(
-        f"requests: {health['requests']}  "
-        f"span: {health['span_seconds']:.3f}s  "
-        f"throughput: {health['throughput_pages_per_s']:.1f} pages/s"
+        f"requests: {served['requests']}  "
+        f"span: {served['span_seconds']:.3f}s  "
+        f"throughput: {served['throughput_pages_per_s']:.1f} pages/s"
     )
     print(
         f"submitted: {stats['submitted']}  shed: {stats['shed']} "
@@ -393,41 +395,40 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
         f"max batch: {stats['max_batch_size']}  "
         f"mean queue wait: {stats['mean_queue_wait_ms']:.3f}ms"
     )
+    store = service["store"]
     print(
-        f"hot swaps: {stats['hot_swaps']}  rollbacks: {stats['rollbacks']}  "
-        f"queue depth bound: {health['queue_depth_bound']}"
+        f"hot swaps: {served['hot_swaps']}  rollbacks: {served['rollbacks']}  "
+        f"invalidations: {service['ingest']['invalidations']}  "
+        f"generation: {'-' if store is None else store['generation']}"
     )
-    generation = health["generation"]
-    print(f"generation: {'-' if generation is None else generation}")
+    breakers = " ".join(
+        f"{route}={state}" for route, state in sorted(service["circuits"].items())
+    )
+    versions = " ".join(
+        f"{route}={version[:10] or '-'}"
+        for route, version in sorted(service["versions"].items())
+    )
     print(
-        f"{'shard':>5} {'queue':>5} {'inflight':>8} {'inval':>5} "
-        f"{'pool':>6} {'dispatcher':>10}"
+        f"service: inflight {service['inflight']}  "
+        f"pools broken {service['pools_broken']}  "
+        f"breakers [{breakers}]  versions [{versions}]"
     )
-    for index in range(health["shards"]):
-        pool = "broken" if health["pools_broken"][index] else "ok"
+    print(
+        f"{'lane':>4} {'queue':>5} {'dispatcher':>10}  "
+        f"(queue depth bound: {health['queue_depth_bound']})"
+    )
+    for index, depth in enumerate(health["queue_depths"]):
         alive = "alive" if health["dispatchers_alive"][index] else "dead"
-        print(
-            f"{index:>5} {health['queue_depths'][index]:>5} "
-            f"{health['inflight'][index]:>8} "
-            f"{health['invalidations'][index]:>5} {pool:>6} {alive:>10}"
-        )
-    for route in sorted(health["versions"]):
-        versions = " ".join(
-            (v[:10] if v else "-") for v in health["versions"][route]
-        )
-        circuits = " ".join(
-            str(c) for c in health["circuits"].get(route, [])
-        )
-        print(f"route {route}: versions [{versions}]  circuits [{circuits}]")
+        print(f"{index:>4} {depth:>5} {alive:>10}")
     return 0
 
 
 def _bench_serve_load(args: argparse.Namespace) -> int:
     """``repro bench serve-load``: measure and gate the serving SLOs.
 
-    Runs the seeded closed-/open-loop load generator over the sharded
+    Runs the seeded closed-/open-loop load generator over the serving
     gateway, prints the phase table, and applies the SLO gate: the
-    shard-count speedup floor and clean-loop invariants always, plus
+    lane-count speedup floor and clean-loop invariants always, plus
     the p95 regression check when ``--compare`` names a committed
     ``BENCH_serving.json`` baseline.
     """
@@ -698,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "suite", nargs="?", choices=("micro", "serve-load"), default="micro",
         help="'micro' (default) measures the synthesis micro suite; "
-        "'serve-load' runs the sharded-gateway load generator and its "
+        "'serve-load' runs the serving-gateway load generator and its "
         "SLO gate (baseline: BENCH_serving.json)",
     )
     bench.add_argument(
@@ -736,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_load.add_argument(
         "--shards", type=int, default=_LoadDefaults.shards,
-        help="replica QAService shards behind the gateway",
+        help="coalescing lanes in front of the gateway's service",
     )
     serve_load.add_argument(
         "--concurrency", type=int, default=_LoadDefaults.concurrency,
@@ -769,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_load.add_argument(
         "--open-queue-depth", type=int, default=None,
-        help="per-shard queue bound for the open-loop phase (default "
+        help="per-lane queue bound for the open-loop phase (default "
         "scales with open request count so shedding is exercised)",
     )
     serve_load.add_argument(
@@ -786,10 +787,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_stat = sub.add_parser(
         "serve-stat",
-        help="drive a seeded burst through a sharded gateway and print "
+        help="drive a seeded burst through the serving gateway and print "
         "its health surface",
     )
-    serve_stat.add_argument("--shards", type=int, default=2)
+    serve_stat.add_argument("--shards", type=int, default=2,
+                            help="gateway lanes")
     serve_stat.add_argument("--routes", type=int, default=2,
                             help="dataset domains to register")
     serve_stat.add_argument("--pages", type=int, default=12,
@@ -799,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stat.add_argument("--ensemble", type=int, default=20,
                             help="ensemble size for the per-route fits")
     serve_stat.add_argument("--queue-depth", type=int, default=None,
-                            help="per-shard queue bound (default unbounded)")
+                            help="per-lane queue bound (default unbounded)")
     serve_stat.add_argument("--seed", type=int, default=0)
     serve_stat.set_defaults(func=cmd_serve_stat)
 

@@ -54,19 +54,6 @@ class Counters:
             return {name: _copy(value) for name, value in self._values.items()}
 
 
-def merge(parts: "list[Counters]") -> dict:
-    """One snapshot of ``parts`` (one declaration) folded by its folds.
-
-    Each part is read under its own lock: sums add, maxima and minima
-    widen, so N shards' merged span runs from the earliest start to the
-    latest end.
-    """
-    total = parts[0].snapshot()
-    for part in parts[1:]:
-        _fold(parts[0]._folds, total, part.snapshot())
-    return total
-
-
 def _fold(folds: dict, values: dict, deltas: dict) -> None:
     for name, delta in deltas.items():
         fold = folds[name]

@@ -1,8 +1,8 @@
 """Coalescing work queue: the micro-batching seam of the serving gateway.
 
 A :class:`CoalescingQueue` sits between many producers (front-end
-threads accepting requests) and one consumer (a shard dispatcher).  It
-buys the two properties a sharded serving path needs from its queue:
+threads accepting requests) and one consumer (a lane dispatcher).  It
+buys the two properties a concurrent serving path needs from its queue:
 
 * **Micro-batch coalescing.**  :meth:`take` returns a *batch*, not an
   item: it flushes as soon as ``max_batch`` items are waiting (size
@@ -21,7 +21,7 @@ buys the two properties a sharded serving path needs from its queue:
 ``pause`` / ``resume`` freeze the consumer side (``take`` blocks while
 paused) without touching the producer side — the lever tests use to
 drive the queue to its bound deterministically, and operators could use
-to quiesce one shard.  :meth:`close` stops producers immediately
+to quiesce one lane.  :meth:`close` stops producers immediately
 (:class:`QueueClosed`) while the consumer drains what remains; a
 ``take`` on a closed, empty queue returns ``[]``, the consumer's
 shutdown signal.  Close overrides pause: a paused, closed queue still

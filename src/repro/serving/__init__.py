@@ -20,11 +20,14 @@ registered tools are stateless, loadable
   isolation, deadlines, bounded retry, admission control, per-route
   circuit breakers — see the module docstring for the failure model).
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`: concurrent
-  ``ask``/``ask_many`` (sync and asyncio) over N replica
-  :class:`QAService` shards with content-affinity hashing, per-shard
-  micro-batch coalescing and queue-depth backpressure; hot-swap,
-  rollback and :class:`~repro.serving.live.LiveCorpus` feeds fan out
-  to every shard.
+  ``ask``/``ask_many`` (sync and asyncio) into one :class:`QAService`
+  (``gateway.service``) through N coalescing lanes, each a micro-batch
+  queue and dispatcher chosen by content-affinity hashing, with
+  per-lane queue-depth backpressure.  Hot-swap, rollback and
+  :class:`~repro.serving.live.LiveCorpus` feeds act on the one service.
+* :mod:`repro.serving.live` — :class:`~repro.serving.live.LiveCorpus`:
+  feed changed pages into the store, invalidate them exactly, refit
+  warm and hot-swap or roll back.
 * :mod:`repro.serving.loadgen` — the seeded closed-/open-loop load
   generator behind ``repro bench serve-load`` and the committed
   ``BENCH_serving.json`` SLO gate.

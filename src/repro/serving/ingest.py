@@ -205,10 +205,6 @@ class PageCache:
         self.stats.add(invalidations=1)
         return True
 
-    def clear(self) -> None:
-        with self._lock:
-            self._pages.clear()
-
 
 def ingest_page(
     html: str,

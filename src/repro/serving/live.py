@@ -54,6 +54,7 @@ from ..synthesis.session import SynthesisSession
 from ..webtree.node import WebPage
 from ..webtree.store import CorpusStoreUpdater
 from .ingest import ingest_page, page_fingerprint
+from .service import QAService
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,9 @@ class LiveCorpus:
     """The feed API: corpus updates in, verified hot-swaps out.
 
     Construct over a running :class:`~repro.serving.service.QAService`
-    (the instance attaches itself, enabling ``service.feed(...)``) and
-    optionally a store path; then :meth:`track` the routes whose tasks
-    should refit when their pages change.
+    (for a gateway, over ``gateway.service``) and optionally a store
+    path; then :meth:`track` the routes whose tasks should refit when
+    their pages change.
 
     Thread-safety: feeds are serialized by an internal lock (the store
     updater is single-writer by design); queries never block on a feed
@@ -150,17 +151,14 @@ class LiveCorpus:
 
     def __init__(
         self,
-        service: "object",
+        service: "QAService",
         store_path: "str | None" = None,
         injector: "object | None" = None,
     ) -> None:
         self.service = service
-        store = getattr(service, "store", None)
+        store = service.store
         self.store_path = store_path or (store.path if store is not None else None)
-        self._injector = (
-            injector if injector is not None
-            else getattr(service, "_injector", None)
-        )
+        self._injector = injector if injector is not None else service._injector
         self._lock = threading.RLock()
         self._routes: "dict[str, _TrackedRoute]" = {}
         #: url → live fingerprint, seeded from the store manifest so a
@@ -176,7 +174,6 @@ class LiveCorpus:
         self._feeds = 0
         self._pending: "list[threading.Thread]" = []
         self._drained_swaps: "list[RouteSwap]" = []
-        service.attach_live(self)
 
     # -- route tracking ------------------------------------------------------
 
@@ -249,20 +246,15 @@ class LiveCorpus:
                 )
             # Parse outside the cache: the superseded entry must stay
             # live for in-flight queries until the publish succeeds.
-            outcome = ingest_page(
-                html, url, limits=getattr(self.service, "limits", None)
-            )
+            outcome = ingest_page(html, url, limits=self.service.limits)
             generation = self._publish(
                 feed_index, new_fingerprint, outcome.page, outcome.degraded,
                 removals=(previous,) if previous else (),
             )
             # -- publish succeeded; in-memory effects are now safe -----
-            invalidated = False
-            cache = getattr(self.service, "cache", None)
-            if previous and cache is not None:
-                invalidated = cache.invalidate(previous)
-            if cache is not None:
-                cache.put(new_fingerprint, outcome.page, outcome.degraded)
+            cache = self.service.cache
+            invalidated = bool(previous) and cache.invalidate(previous)
+            cache.put(new_fingerprint, outcome.page, outcome.degraded)
             self._urls[url] = new_fingerprint
             affected = [
                 tracked for tracked in self._routes.values()
@@ -307,10 +299,7 @@ class LiveCorpus:
             generation = self._publish(
                 feed_index, "", None, False, removals=(previous,)
             )
-            cache = getattr(self.service, "cache", None)
-            invalidated = bool(
-                cache.invalidate(previous) if cache is not None else False
-            )
+            invalidated = self.service.cache.invalidate(previous)
             del self._urls[url]
             affected = []
             for tracked in self._routes.values():
@@ -365,15 +354,14 @@ class LiveCorpus:
     # -- internals -----------------------------------------------------------
 
     def _generation(self) -> int:
-        store = getattr(self.service, "store", None)
+        store = self.service.store
         return store.generation if store is not None else -1
 
     def _reload(self) -> None:
         """Move the service's readers to the newest generation: the
-        index view reloads the shared store reader inside it."""
-        index = getattr(self.service, "index", None)
-        if index is not None:
-            index.reload()
+        index view reloads the store reader inside it."""
+        if self.service.index is not None:
+            self.service.index.reload()
 
     def _publish(
         self,

@@ -164,19 +164,17 @@ class ServingResult:
     def ok(self) -> bool:
         return self.error is None
 
-    def as_dict(self) -> dict:
-        return {
-            "route": self.route,
-            "ok": self.ok,
-            "answer": list(self.answer) if self.answer is not None else None,
-            "error": self.error.as_dict() if self.error is not None else None,
-            "fingerprint": self.fingerprint,
-            "degraded": self.degraded,
-            "cache_hit": self.cache_hit,
-            "retries": self.retries,
-            "ingest_seconds": self.ingest_seconds,
-            "predict_seconds": self.predict_seconds,
-        }
+
+def as_request(request: "ServingRequest | tuple") -> ServingRequest:
+    """A :class:`ServingRequest`, or one built from a ``(route, html)``
+    / ``(route, html, url)`` tuple."""
+    if isinstance(request, ServingRequest):
+        return request
+    return ServingRequest(
+        route=request[0],
+        html=request[1],
+        url=request[2] if len(request) > 2 else "",
+    )
 
 
 @dataclass(frozen=True)
@@ -550,7 +548,6 @@ class QAService:
         self._injector = fault_injector
         self._clock = clock
         self._routes: dict[str, _RouteState] = {}
-        self._live: "object | None" = None
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         # One long-lived pool for every micro-batch: a service dispatches
@@ -671,32 +668,6 @@ class QAService:
         """True when no retired version of ``route`` still serves a call."""
         return self._state(route).drained()
 
-    # -- live corpus --------------------------------------------------------------
-
-    def attach_live(self, live: "object") -> None:
-        """Attach a :class:`~repro.serving.live.LiveCorpus`; done by its
-        constructor — :meth:`feed` delegates to it."""
-        self._live = live
-
-    @property
-    def live(self) -> "object | None":
-        return self._live
-
-    def feed(self, html: str, url: str = "", **kwargs):
-        """Feed one changed raw document into the attached live corpus.
-
-        Convenience front for :meth:`LiveCorpus.feed` (ingest →
-        invalidate → store generation → warm refit → hot-swap/rollback);
-        requires a :class:`~repro.serving.live.LiveCorpus` constructed
-        over this service.
-        """
-        if self._live is None:
-            raise ValueError(
-                "no live corpus attached; construct "
-                "repro.serving.live.LiveCorpus(service, ...) first"
-            )
-        return self._live.feed(html, url=url, **kwargs)
-
     # -- corpus routing (ask the corpus, not a page) -------------------------------
 
     def ask_corpus(
@@ -730,16 +701,12 @@ class QAService:
         measure the gap between their costs.
         """
 
-        def fan_out(
-            fingerprints: "list[str]", requests: "list[ServingRequest]"
-        ) -> "list[ServingResult]":
+        def fan_out(requests: "list[ServingRequest]") -> "list[ServingResult]":
             return self.ask_many(
                 requests, strict=False, deadline_seconds=deadline_seconds
             )
 
-        return self.answer_corpus(
-            route, question, top_k, exhaustive, fan_out, lambda _: self.cache
-        )
+        return self.answer_corpus(route, question, top_k, exhaustive, fan_out)
 
     def answer_corpus(
         self,
@@ -748,21 +715,18 @@ class QAService:
         top_k: "int | None",
         exhaustive: bool,
         fan_out,
-        cache_of,
     ) -> CorpusAnswer:
         """Query → score → top-k → ``fan_out`` → consensus, on one generation.
 
         The shared body of :meth:`ask_corpus` and the gateway's: only
-        ``fan_out`` and ``cache_of`` differ between them.  ``fan_out``
-        takes the candidates' fingerprints and one
-        :class:`ServingRequest` per candidate, and returns one
-        :class:`ServingResult` per request.  ``cache_of`` maps a
-        fingerprint to the :class:`PageCache` that holds its page.
+        ``fan_out`` differs between them.  It takes one
+        :class:`ServingRequest` per candidate (carrying the candidate's
+        fingerprint) and returns one :class:`ServingResult` per request.
 
         Scoring, page loads and urls all read one pinned store snapshot,
         so a feed reloading the store mid-question cannot mix two
         generations (or lose a candidate page it replaced).  Each
-        candidate loads memory → disk: its cache's page when present,
+        candidate loads memory → disk: the page cache's page when present,
         else the snapshot's planes, which the load then caches.  Either
         way the candidate counts as one ingested page, a rehydrated one
         also as an ingest ``store_hit``.  Fingerprints are content
@@ -785,16 +749,12 @@ class QAService:
         candidates = cut_top_k(scored, top_k)
         answers: "list[tuple[str, ...] | None]" = []
         if candidates:
+            cache = self.cache if self.cache.capacity > 0 else None
             requests = []
             for fingerprint, _ in candidates:
-                cache = cache_of(fingerprint)
-                loaded = self.store.load(
-                    fingerprint,
-                    snapshot,
-                    cache=cache if cache.capacity > 0 else None,
-                )
+                loaded = self.store.load(fingerprint, snapshot, cache=cache)
                 page, degraded = loaded
-                cache.stats.add(
+                self.cache.stats.add(
                     pages_ingested=1,
                     store_hits=int(not loaded.cache_hit),
                     pages_degraded=int(degraded),
@@ -808,9 +768,7 @@ class QAService:
                         cache_hit=loaded.cache_hit,
                     )
                 )
-            results = fan_out(
-                [fingerprint for fingerprint, _ in candidates], requests
-            )
+            results = fan_out(requests)
             answers = [
                 result.answer if result.ok else None for result in results
             ]
@@ -931,16 +889,7 @@ class QAService:
         Tuples ``(route, html)`` / ``(route, html, url)`` are accepted as
         a convenience and normalized to :class:`ServingRequest`.
         """
-        normalized = [
-            request
-            if isinstance(request, ServingRequest)
-            else ServingRequest(
-                route=request[0],
-                html=request[1],
-                url=request[2] if len(request) > 2 else "",
-            )
-            for request in requests
-        ]
+        normalized = [as_request(request) for request in requests]
         if deadline_seconds is None:
             deadline_seconds = self.deadline_seconds
         deadline = _Deadline(deadline_seconds)

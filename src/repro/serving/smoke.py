@@ -98,12 +98,26 @@ def run_export(out_dir: Path, n_pages: int, n_train: int) -> int:
     return 0
 
 
-def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
+def run_serve(
+    out_dir: Path, jobs: int, max_batch: int, corpus: bool = False
+) -> int:
+    """Load the artifacts and serve every exported page twice.
+
+    Every answer must equal the fitted tool's recording, the warm pass
+    must equal the cold one, and no synthesis may run.  Without
+    ``corpus`` the warm pass must hit the page cache.  With ``corpus``
+    (after ``corpus-export``) the service reads the columnar store:
+    every cold request must rehydrate from it (``store_hits``) and
+    ``parse_call_count()`` must not move — store-backed serving ≡ the
+    parse path without ever invoking the parser.
+    """
+    parses_before = parse_call_count()
     calls_before = synthesis_call_count()
     manifest = read_artifact(str(out_dir / MANIFEST))
     requests: list[ServingRequest] = []
     expected: list[tuple[str, ...]] = []
-    with QAService(jobs=jobs, max_batch=max_batch) as service:
+    store = str(out_dir / CORPUS_FILE) if corpus else None
+    with QAService(jobs=jobs, max_batch=max_batch, store=store) as service:
         for entry in manifest["tasks"]:
             service.register(entry["task_id"], str(out_dir / entry["artifact"]))
             for page_entry in entry["pages"]:
@@ -114,7 +128,6 @@ def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
                     )
                 )
                 expected.append(tuple(page_entry["expected"]))
-        # Serve twice: the second pass must hit the page cache.
         answers = service.ask_many(requests)
         answers_again = service.ask_many(requests)
 
@@ -130,12 +143,28 @@ def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
     if answers_again != answers:
         failures += 1
         print("MISMATCH: warm-cache pass differs from cold pass", file=sys.stderr)
-    cache_hits = service.cache.stats.snapshot()["cache_hits"]
-    if cache_hits < len(requests):
+    counts = service.cache.stats.snapshot()
+    if not corpus and counts["cache_hits"] < len(requests):
         failures += 1
         print(
-            f"PAGE CACHE INEFFECTIVE: {cache_hits} hits "
+            f"PAGE CACHE INEFFECTIVE: {counts['cache_hits']} hits "
             f"over {2 * len(requests)} requests",
+            file=sys.stderr,
+        )
+    if corpus and counts["store_hits"] < len(requests):
+        failures += 1
+        print(
+            f"STORE INEFFECTIVE: {counts['store_hits']} store hits over "
+            f"{len(requests)} cold requests (every miss must resolve "
+            f"from the store)",
+            file=sys.stderr,
+        )
+    parse_calls = parse_call_count() - parses_before
+    if corpus and parse_calls != 0:
+        failures += 1
+        print(
+            f"PARSE IN STORE-BACKED SERVING: {parse_calls} parse_html "
+            f"calls during load+serve (must be 0)",
             file=sys.stderr,
         )
     synthesis_calls = synthesis_call_count() - calls_before
@@ -149,12 +178,16 @@ def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
     health = service.health()
     print(json.dumps(health["stats"], indent=2))
     print(json.dumps({"page_cache": health["ingest"]}, indent=2))
+    label = "corpus smoke" if corpus else "serving smoke"
     if failures:
-        print(f"serving smoke FAILED: {failures} problem(s)", file=sys.stderr)
+        print(f"{label} FAILED: {failures} problem(s)", file=sys.stderr)
         return 1
+    store_note = (
+        f"{counts['store_hits']} store hits, 0 parse calls, " if corpus else ""
+    )
     print(
-        f"serving smoke OK: {len(requests)} requests x2 passes, "
-        f"{len(manifest['tasks'])} routes, 0 synthesis calls"
+        f"{label} OK: {len(requests)} requests x2 passes, "
+        f"{len(manifest['tasks'])} routes, {store_note}0 synthesis calls"
     )
     return 0
 
@@ -179,87 +212,6 @@ def run_corpus_export(out_dir: Path, n_pages: int, n_train: int) -> int:
             documents.append((html, page_entry["url"]))
     report = build_corpus_store(documents, str(out_dir / CORPUS_FILE))
     print(json.dumps({"corpus_store": report}, indent=2))
-    return 0
-
-
-def run_corpus_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
-    """``serve`` from the columnar store: zero parses allowed.
-
-    Runs in a fresh interpreter after ``corpus-export``: every page must
-    rehydrate from the store (``store_hits`` covers every request,
-    ``parse_call_count()`` delta stays 0) and answers must match the
-    fitted tools bit-for-bit — proving store-backed serving ≡ the parse
-    path without ever invoking the parser.
-    """
-    parses_before = parse_call_count()
-    calls_before = synthesis_call_count()
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    requests: list[ServingRequest] = []
-    expected: list[tuple[str, ...]] = []
-    store_path = out_dir / CORPUS_FILE
-    with QAService(
-        jobs=jobs, max_batch=max_batch, store=str(store_path)
-    ) as service:
-        for entry in manifest["tasks"]:
-            service.register(entry["task_id"], str(out_dir / entry["artifact"]))
-            for page_entry in entry["pages"]:
-                html = (out_dir / page_entry["html"]).read_text(encoding="utf-8")
-                requests.append(
-                    ServingRequest(
-                        route=entry["task_id"], html=html, url=page_entry["url"]
-                    )
-                )
-                expected.append(tuple(page_entry["expected"]))
-        answers = service.ask_many(requests)
-        answers_again = service.ask_many(requests)
-
-    failures = 0
-    for request, got, want in zip(requests, answers, expected):
-        if tuple(got) != want:
-            failures += 1
-            print(
-                f"MISMATCH route={request.route} url={request.url}: "
-                f"got {got!r}, expected {want!r}",
-                file=sys.stderr,
-            )
-    if answers_again != answers:
-        failures += 1
-        print("MISMATCH: warm-cache pass differs from cold pass", file=sys.stderr)
-    store_hits = service.cache.stats.snapshot()["store_hits"]
-    if store_hits < len(requests):
-        failures += 1
-        print(
-            f"STORE INEFFECTIVE: {store_hits} store hits over "
-            f"{len(requests)} cold requests (every miss must resolve "
-            f"from the store)",
-            file=sys.stderr,
-        )
-    parse_calls = parse_call_count() - parses_before
-    if parse_calls != 0:
-        failures += 1
-        print(
-            f"PARSE IN STORE-BACKED SERVING: {parse_calls} parse_html "
-            f"calls during load+serve (must be 0)",
-            file=sys.stderr,
-        )
-    synthesis_calls = synthesis_call_count() - calls_before
-    if synthesis_calls != 0:
-        failures += 1
-        print(
-            f"SYNTHESIS IN SERVING PATH: {synthesis_calls} synthesize() "
-            f"calls during load+serve (must be 0)",
-            file=sys.stderr,
-        )
-    health = service.health()
-    print(json.dumps(health["stats"], indent=2))
-    print(json.dumps({"page_cache": health["ingest"]}, indent=2))
-    if failures:
-        print(f"corpus smoke FAILED: {failures} problem(s)", file=sys.stderr)
-        return 1
-    print(
-        f"corpus smoke OK: {len(requests)} requests x2 passes, "
-        f"{store_hits} store hits, 0 parse calls, 0 synthesis calls"
-    )
     return 0
 
 
@@ -522,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.phase == "corpus-export":
         return run_corpus_export(args.dir, args.pages, args.train)
     if args.phase == "corpus-serve":
-        return run_corpus_serve(args.dir, args.jobs, args.max_batch)
+        return run_serve(args.dir, args.jobs, args.max_batch, corpus=True)
     if args.phase == "routing-export":
         return run_routing_export(args.dir, args.pages, args.train, args.top_k)
     if args.phase == "routing-serve":

@@ -156,6 +156,30 @@ class TestCli:
         assert "direct predict_batch:" in bench_output
         assert "page_cache.cache_hits" in bench_output
 
+    def test_serve_stat_prints_one_service_row_and_one_row_per_lane(
+        self, capsys
+    ):
+        exit_code = main([
+            "serve-stat", "--shards", "3", "--requests", "24",
+            "--pages", "4", "--ensemble", "10",
+        ])
+        assert exit_code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "lanes: 3  closed: False" in lines
+        assert any(line.startswith("submitted: 24  shed: 0") for line in lines)
+        (service,) = [line for line in lines if line.startswith("service:")]
+        assert "inflight 0" in service
+        assert "pools broken 0" in service
+        assert "breakers [conference=closed faculty=closed]" in service
+        assert "versions [" in service
+        header = next(
+            index for index, line in enumerate(lines)
+            if line.split()[:3] == ["lane", "queue", "dispatcher"]
+        )
+        assert [line.split() for line in lines[header + 1:]] == [
+            [str(lane), "0", "alive"] for lane in range(3)
+        ]
+
     def test_fit_requires_labels(self, pages):
         with pytest.raises(SystemExit):
             main([

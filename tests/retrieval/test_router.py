@@ -7,7 +7,7 @@ page, url, score, support and full candidate ranking — that the
 O(corpus) exhaustive scan returns.  This suite holds that equality over
 all 25 dataset tasks on a mixed-domain store, over hypothesis-driven
 ``top_k`` choices, and at the raw scoring layer over hypothesis-built
-sparse queries; plus the sharded-gateway entry point against the
+sparse queries; plus the gateway entry point against the
 single-service one, and candidates taken from a warm page cache
 against a cold one and against the scan.
 """
@@ -142,7 +142,7 @@ def test_scoring_layer_differential(scoring_rig, data):
 
 
 def test_gateway_matches_single_service(rig, tmp_path):
-    """The sharded entry point returns the service's exact CorpusAnswer."""
+    """The gateway entry point returns the service's exact CorpusAnswer."""
     service, path = rig
     with ServingGateway(shards=2, store=path) as gateway:
         for task_id in ("fac_t1", "clinic_t5"):
@@ -168,18 +168,16 @@ def _front(kind, path, page_cache_size):
     return ServingGateway(shards=2, store=path, page_cache_size=page_cache_size)
 
 
-def _caches(front):
-    if isinstance(front, ServingGateway):
-        return [shard.cache for shard in front._shards]
-    return [front.cache]
+def _service(front):
+    return front.service if isinstance(front, ServingGateway) else front
 
 
 def _cache_hits(front):
-    return sum(cache.stats.snapshot()["cache_hits"] for cache in _caches(front))
+    return _service(front).cache.stats.snapshot()["cache_hits"]
 
 
 def _cached(front, fingerprint):
-    return any(cache.get(fingerprint) is not None for cache in _caches(front))
+    return _service(front).cache.get(fingerprint) is not None
 
 
 @pytest.mark.parametrize("kind", ["service", "gateway"])
@@ -200,7 +198,7 @@ def test_warm_equals_cold_on_every_route(rig, kind):
                 warm.ask_corpus(task_id, top_k=8, exhaustive=True)
             )
             assert uncached == first == second == scanned, task_id
-        assert all(len(cache) == 0 for cache in _caches(cold))
+        assert len(_service(cold).cache) == 0
 
 
 @pytest.mark.parametrize("kind", ["service", "gateway"])
@@ -209,11 +207,7 @@ def test_warm_candidates_count_as_ingested(rig, kind):
     service, path = rig
 
     def counts(front):
-        snapshots = [cache.stats.snapshot() for cache in _caches(front)]
-        return {
-            key: sum(snapshot[key] for snapshot in snapshots)
-            for key in ("pages_ingested", "cache_hits", "store_hits")
-        }
+        return _service(front).cache.stats.snapshot()
 
     with _front(kind, path, 256) as front:
         front.register("fac_t1", service.tool("fac_t1"))
@@ -251,7 +245,7 @@ def test_feed_replaces_a_cached_candidate(rig, kind, tmp_path):
     with _front(kind, str(tmp_path / "live.rpw"), 256) as front:
         for route in routes:
             front.register(route, service.tool(route))
-        live = LiveCorpus(front)
+        live = LiveCorpus(_service(front))
         before = front.ask_corpus("fac_t1", top_k=8)
         assert before.ok and _cached(front, before.fingerprint)
         docs[before.url] = generate_page("faculty", 9000).html

@@ -1,9 +1,9 @@
 """The serving stack's one counters type, and what the serving layers count.
 
 :class:`~repro.obs.Counters` is pinned first (declared names, folds,
-one lock acquisition per ``add``, exact counts under contention, the
-shard merge).  Then the serving surfaces built on it: the key sets of
-``health()`` that operators and the bench artifacts read, how many
+one lock acquisition per ``add``, exact counts under contention).
+Then the serving surfaces built on it: the key sets of ``health()``
+that operators and the bench artifacts read, how many
 stats-lock acquisitions a request and a batch cost, and the counting
 rules — only registered routes get a per-route counter, a request's
 ``predict_seconds`` is its own page's time, and gateway queue wait is
@@ -18,7 +18,7 @@ import pytest
 from repro.core.webqa import WebQA
 from repro.dataset.corpus import load_task_dataset
 from repro.dataset.tasks import TASKS_BY_ID
-from repro.obs import Counters, merge
+from repro.obs import Counters
 from repro.serving.faults import FaultPlan
 from repro.serving.gateway import ServingGateway
 from repro.serving.service import QAService, ServingRequest
@@ -42,15 +42,12 @@ SERVICE_HEALTH_KEYS = {
 }
 GATEWAY_HEALTH_KEYS = {
     "shards", "closed", "queue_depths", "queue_depth_bound",
-    "invalidations", "generation", "inflight", "pools_broken",
-    "dispatchers_alive", "circuits", "versions", "requests", "span_seconds",
-    "throughput_pages_per_s", "stats", "per_shard",
+    "dispatchers_alive", "stats", "service",
 }
 #: The gateway's own counters; the last two record queue wait.
 GATEWAY_STATS_KEYS = {
     "submitted", "shed", "shed_rate", "batches", "mean_batch_size",
-    "max_batch_size", "hot_swaps", "rollbacks",
-    "queue_wait_seconds", "mean_queue_wait_ms",
+    "max_batch_size", "queue_wait_seconds", "mean_queue_wait_ms",
 }
 
 
@@ -121,17 +118,6 @@ class TestCounters:
         assert counts["peak"] == per_thread - 1
         assert counts["last"] == n_threads - 1
 
-    def test_merge_sums_and_widens_the_window(self):
-        left, right = self._counters(), self._counters()
-        left.add(hits=2, by_key={"a": 1}, peak=4, first=10.0, last=12.0)
-        right.add(hits=3, by_key={"a": 2, "b": 1}, peak=7, first=11.0, last=15.0)
-        assert merge([left, right]) == {
-            "hits": 5, "seconds": 0.0, "by_key": {"a": 3, "b": 1},
-            "peak": 7, "first": 10.0, "last": 15.0,
-        }
-        # An idle part leaves the window alone.
-        assert merge([self._counters(), left])["first"] == 10.0
-
 
 class TestHealthKeys:
     def test_service_health_keys(self, fitted):
@@ -156,16 +142,15 @@ class TestHealthKeys:
             health = gateway.health()
         assert set(health) == GATEWAY_HEALTH_KEYS
         assert set(health["stats"]) == GATEWAY_STATS_KEYS
-        for shard in health["per_shard"]:
-            assert set(shard) == SERVICE_HEALTH_KEYS
-            assert set(shard["stats"]) == SERVICE_STATS_KEYS
+        assert set(health["service"]) == SERVICE_HEALTH_KEYS
+        assert set(health["service"]["stats"]) == SERVICE_STATS_KEYS
 
 
 class TestLockAcquisitions:
     def test_warm_page_requests_and_their_batch(self, fitted, monkeypatch):
         """A cache-hit page request costs 2 stats-lock acquisitions
         (submit, and the cache lookup that also counts the ingest); its
-        batch costs 2 (the gateway's dispatch and the shard's whole
+        batch costs 2 (the gateway's dispatch and the service's whole
         call)."""
         tool, dataset = fitted
         html = page_to_html(dataset.test_pages[0])
@@ -174,8 +159,8 @@ class TestLockAcquisitions:
         ]
         with ServingGateway(shards=1, max_batch=8) as gateway:
             gateway.register("fac_t1", tool)
-            gateway.ask_many(requests[:1])  # warm the shard cache
-            shard = gateway.shard(0)
+            gateway.ask_many(requests[:1])  # warm the cache
+            service = gateway.service
             calls = []
             add = Counters.add
 
@@ -193,8 +178,8 @@ class TestLockAcquisitions:
         assert gateway.stats.snapshot()["max_batch_size"] == len(requests)
         per_owner = {
             "gateway": calls.count(id(gateway.stats)),
-            "cache": calls.count(id(shard.cache.stats)),
-            "service": calls.count(id(shard.stats)),
+            "cache": calls.count(id(service.cache.stats)),
+            "service": calls.count(id(service.stats)),
         }
         count = len(requests)
         assert per_owner == {"gateway": count + 1, "cache": count, "service": 1}

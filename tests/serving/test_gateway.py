@@ -1,16 +1,17 @@
-"""ServingGateway: the sharded concurrent front-end, pinned end to end.
+"""ServingGateway: the concurrent front-end, pinned end to end.
 
-The load-bearing class is the first one: for any shard count,
+The load-bearing class is the first one: for any lane count,
 concurrency level and flush policy, gateway answers are **bit-identical**
 to sequential ``tool.predict`` over the same requests, on all 25 dataset
-tasks — sharding, queueing and micro-batching are throughput mechanics,
+tasks — lanes, queueing and micro-batching are throughput mechanics,
 never semantics.  The rest pins the backpressure ladder (deterministic
 shedding at the queue bound), crash recovery through the pool-rebuild
-path, and control-plane fan-out (hot-swap / feed / rollback) under
-sustained concurrent load.
+path, and hot-swap / feed / rollback on the one service behind the
+lanes under sustained concurrent load.
 """
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -177,14 +178,14 @@ class TestShardAffinity:
                 assert [
                     gateway.shard_of(request) for request in requests
                 ] == homes
-            # Serve twice: the second pass is warm, and only each
-            # page's home shard ever cached it.
+            # Serve twice: each page misses the one cache once, then
+            # the second pass is warm whichever lane carried it.
             expected = [tool.predict(page) for page in dataset.test_pages]
             assert gateway.ask_many(requests) == expected
             assert gateway.ask_many(requests) == expected
-            for index in range(4):
-                cached = gateway.shard(index).cache.stats.snapshot()["cache_misses"]
-                assert cached == homes.count(index)
+            counts = gateway.service.cache.stats.snapshot()
+            assert counts["cache_misses"] == len(requests)
+            assert counts["cache_hits"] == len(requests)
 
     def test_preparsed_page_requests_served(self, fitted):
         tool, dataset = fitted
@@ -325,8 +326,8 @@ class TestCrashRecovery:
             assert [result.answer for result in results] == expected
             assert all(result.ok for result in results)
             assert any(result.retries >= 1 for result in results)
-            assert sum(gateway.health()["pools_broken"]) >= 1
-            gateway.inject_faults(None)
+            assert gateway.health()["service"]["pools_broken"] >= 1
+            gateway.service.inject_faults(None)
             assert gateway.ask_many(requests) == expected
 
     def test_dispatchers_alive_in_health(self, fitted):
@@ -371,31 +372,54 @@ class TestHotSwapUnderLoad:
             for thread in threads:
                 thread.join()
             assert not failures
-            # Every shard converged on the last version, every retired
-            # version drained on every shard.
-            assert gateway.route_versions("fac_t1") == ["v30"] * 3
-            assert gateway.route_drained("fac_t1")
-            assert gateway.stats.snapshot()["hot_swaps"] == 30
+            # The service serves the last version; every retired
+            # version drained.
+            service = gateway.service
+            assert service.route_version("fac_t1") == "v30"
+            assert service.route_drained("fac_t1")
+            assert service.stats.snapshot()["hot_swaps"] == 30
 
-    def test_rollback_fans_out_to_all_shards(self, fitted):
+    def test_one_swap_through_three_lanes(self, fitted):
         tool, dataset = fitted
+        requests = [
+            ServingRequest(
+                route="fac_t1", html=page_to_html(page), url=page.url
+            )
+            for page in dataset.test_pages
+        ]
+        expected = [
+            tool.predict(ingest_html(r.html, url=r.url)) for r in requests
+        ]
         with ServingGateway(shards=3) as gateway:
             gateway.register("fac_t1", tool, version="v1")
+            gateway.register("fac_t1", tool.export_artifact(), version="v2")
+            assert gateway.ask_many(requests) == expected
+            lanes = {gateway.shard_of(request) for request in requests}
+            health = gateway.health()
+        assert len(lanes) > 1  # the requests did spread over lanes
+        assert health["service"]["versions"] == {"fac_t1": "v2"}
+        assert health["service"]["stats"]["hot_swaps"] == 1
+
+    def test_rollback_restores_the_one_served_version(self, fitted):
+        tool, dataset = fitted
+        with ServingGateway(shards=3) as gateway:
+            service = gateway.service
+            gateway.register("fac_t1", tool, version="v1")
             gateway.register("fac_t1", tool, version="v2")
-            assert gateway.rollback("fac_t1") == "v1"
-            assert gateway.route_versions("fac_t1") == ["v1"] * 3
-            assert gateway.stats.snapshot()["rollbacks"] == 1
+            assert service.rollback("fac_t1") == "v1"
+            assert service.route_version("fac_t1") == "v1"
+            assert service.stats.snapshot()["rollbacks"] == 1
             want = tool.predict(dataset.test_pages[0])
             assert gateway.ask("fac_t1", page=dataset.test_pages[0]) == want
 
 
 class TestLiveFeedUnderLoad:
     def test_feed_during_burst_swaps_all_shards_consistently(self, tmp_path):
-        # LiveCorpus built directly over the gateway: a feed() landing
-        # mid-burst publishes one store generation, invalidates every
-        # shard, refits once, and swaps all shards to the same version —
-        # while concurrent askers observe only old-consistent or
-        # new-consistent answers, never an error.
+        # LiveCorpus built over the gateway's service: a feed() landing
+        # mid-burst publishes one store generation, invalidates the fed
+        # page, refits once, and swaps the one route table — while
+        # concurrent askers on every lane observe only old-consistent
+        # or new-consistent answers, never an error.
         task = TASKS_BY_ID["fac_t1"]
         corpus = build_domain_corpus("faculty", 6, seed=0)
         models = NlpModels.for_corpus(
@@ -423,7 +447,8 @@ class TestLiveFeedUnderLoad:
                 task.task_id, tool,
                 version=tool.export_artifact().fingerprint(),
             )
-            live = LiveCorpus(gateway)
+            service = gateway.service
+            live = LiveCorpus(service)
             live.track(
                 task.task_id, session, unlabeled=unlabeled,
                 ensemble_size=30, seed=0,
@@ -435,7 +460,7 @@ class TestLiveFeedUnderLoad:
                                url=cp.page.url)
                 for cp in corpus[:-1]
             ]
-            old_tool = gateway.tool(task.task_id)
+            old_tool = service.tool(task.task_id)
             stable_old = [
                 old_tool.predict(ingest_html(r.html, url=r.url))
                 for r in stable
@@ -452,7 +477,7 @@ class TestLiveFeedUnderLoad:
                         elif result.answer != stable_old[position]:
                             # Unchanged pages may legitimately answer
                             # differently under the refitted tool.
-                            now = gateway.tool(task.task_id)
+                            now = service.tool(task.task_id)
                             want = now.predict(
                                 ingest_html(stable[position].html,
                                             url=stable[position].url)
@@ -470,15 +495,12 @@ class TestLiveFeedUnderLoad:
             assert not failures
             assert not report.unchanged
             assert report.generation == 1
-            # All shards serve the same post-feed version.
-            versions = gateway.route_versions(task.task_id)
-            assert len(set(versions)) == 1
             (swap,) = report.swaps
             if swap.swapped:
-                assert versions[0] == swap.version
+                assert service.route_version(task.task_id) == swap.version
             # The fed page itself now answers through the new content
-            # on whichever shard owns it.
-            new_tool = gateway.tool(task.task_id)
+            # on whichever lane carries it.
+            new_tool = service.tool(task.task_id)
             want = new_tool.predict(
                 ingest_html(changed.html, url=victim.page.url)
             )
@@ -486,11 +508,61 @@ class TestLiveFeedUnderLoad:
                 task.task_id, html=changed.html, url=victim.page.url
             )
             assert got == want
-            assert gateway.stats.snapshot()["hot_swaps"] >= int(swap.swapped)
+            assert service.stats.snapshot()["hot_swaps"] == int(swap.swapped)
+
+
+class TestSharedService:
+    def test_lanes_share_one_service_without_lost_updates(self, fitted):
+        # Four lanes (more than the CI box's cores) and six callers
+        # drive one service with fine thread interleaving: every answer
+        # is right and every shared count is exact.
+        tool, dataset = fitted
+        html = page_to_html(dataset.test_pages[0])
+        want = tool.predict(ingest_html(html, url="stress/0"))
+        requests = [
+            ServingRequest(route="fac_t1", html=html, url=f"stress/{index}")
+            for index in range(40)
+        ]
+        rounds, callers = 5, 6
+        failures: list[object] = []
+        with ServingGateway(shards=4, max_batch=4) as gateway:
+            gateway.register("fac_t1", tool)
+
+            def caller():
+                for _ in range(rounds):
+                    results = gateway.ask_many(requests, strict=False)
+                    failures.extend(
+                        r for r in results if not r.ok or r.answer != want
+                    )
+
+            threads = [threading.Thread(target=caller) for _ in range(callers)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            health = gateway.health()
+        total = len(requests) * rounds * callers
+        assert not failures
+        assert health["stats"]["submitted"] == total
+        service = health["service"]
+        assert service["inflight"] == 0
+        assert service["stats"]["requests"] == total
+        assert service["stats"]["requests_by_route"] == {"fac_t1": total}
+        ingest = service["ingest"]
+        assert ingest["pages_ingested"] == total
+        assert ingest["cache_hits"] + ingest["cache_misses"] == total
+        assert gateway.service.route_drained("fac_t1")
 
 
 class TestHealthSurface:
     def test_health_reports_per_shard_summary(self, fitted):
+        # One entry per lane for the queues, one service for the rest.
         tool, dataset = fitted
         with ServingGateway(shards=2, queue_depth=64) as gateway:
             gateway.register("fac_t1", tool, version="v1")
@@ -503,13 +575,14 @@ class TestHealthSurface:
         assert health["shards"] == 2
         assert health["queue_depth_bound"] == 64
         assert health["queue_depths"] == [0, 0]
-        assert health["inflight"] == [0, 0]
-        assert health["pools_broken"] == [0, 0]
-        assert health["circuits"]["fac_t1"] == ["closed", "closed"]
-        assert health["versions"]["fac_t1"] == ["v1", "v1"]
-        assert health["requests"] == len(requests)
-        assert health["span_seconds"] > 0
-        assert health["throughput_pages_per_s"] > 0
+        assert health["dispatchers_alive"] == [True, True]
         assert health["stats"]["submitted"] == len(requests)
-        assert len(health["per_shard"]) == 2
         assert health["stats"]["mean_batch_size"] >= 1
+        service = health["service"]
+        assert service["inflight"] == 0
+        assert service["pools_broken"] == 0
+        assert service["circuits"] == {"fac_t1": "closed"}
+        assert service["versions"] == {"fac_t1": "v1"}
+        assert service["stats"]["requests"] == len(requests)
+        assert service["stats"]["span_seconds"] > 0
+        assert service["stats"]["throughput_pages_per_s"] > 0

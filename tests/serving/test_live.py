@@ -148,20 +148,6 @@ class TestFeed:
         finally:
             rig.close()
 
-    def test_service_feed_delegates_and_requires_live(self, tmp_path,
-                                                      corpus_fixture):
-        with QAService() as bare:
-            with pytest.raises(ValueError, match="no live corpus"):
-                bare.feed("<h1>x</h1>", url="u")
-        rig = _Rig(tmp_path, corpus_fixture)
-        try:
-            changed = generate_page("faculty", seed=4242)
-            report = rig.service.feed(changed.html,
-                                      url=rig.corpus[-1].page.url)
-            assert report.swaps
-        finally:
-            rig.close()
-
 
 class TestRollback:
     def test_refit_error_rolls_back(self, tmp_path, corpus_fixture):
@@ -598,7 +584,8 @@ class TestIndexedLiveCorpus:
         try:
             for route in ROUTES:
                 target.register(route, routing_tools[route])
-            live = LiveCorpus(target)
+            service = target if front == "service" else target.service
+            live = LiveCorpus(service)
             urls = sorted(corpus.docs)
             rng = random.Random("concurrent-feeder")
             feeding = threading.Event()
@@ -642,7 +629,7 @@ class TestIndexedLiveCorpus:
             assert not any(thread.is_alive() for thread in threads)
             assert failures == []
             assert len(asks) >= 2
-            assert target.store.generation == 1 + feeds
+            assert service.store.generation == 1 + feeds
             live.compact()
             _assert_routes_agree(target, corpus, routing_tools)
         finally:
